@@ -8,10 +8,10 @@
 //! maintains, at every run boundary, a globally consistent cut of the
 //! computation:
 //!
-//! * the committed node stores (initial store + [`WriteJournal`]
-//!   replay),
-//! * the [`CheckpointTable`] — one delivery-point snapshot per live,
-//!   non-parked messenger,
+//! * the committed node stores (initial store +
+//!   [`WriteJournal`](crate::recovery::WriteJournal) replay),
+//! * the [`CheckpointTable`](crate::recovery::CheckpointTable) — one
+//!   delivery-point snapshot per live, non-parked messenger,
 //! * the event service — banked counts plus parked waiters.
 //!
 //! A durable checkpoint ([`DurableCut`], one per PE) is exactly that
@@ -38,7 +38,6 @@
 
 use crate::agent::{Effect, Messenger, MsgrCtx, WireSnapshot};
 use crate::cluster::Cluster;
-use crate::recovery::{CheckpointTable, WriteJournal};
 use navp_sim::codec::{WireReader, WireWriter};
 use navp_sim::{EventKey, NodeStore};
 use std::fmt;
@@ -687,63 +686,6 @@ impl Messenger for ResumeWait {
         w.put_bytes(&inner.bytes);
         Some(WireSnapshot::new(ResumeWait::TAG, w.into_vec()))
     }
-}
-
-/// Snapshot the common (in-process) recovery state of one PE into a
-/// cut: committed store, live checkpoints owned by the PE, and —
-/// supplied by the caller, whose event-service shape differs per
-/// executor — waiters and counts.
-///
-/// `store` must already reflect every *committed* run (the executors
-/// call this right after `commit_dirty`). Returns
-/// [`DurableError::Codec`] if any live messenger lacks a wire
-/// snapshot: durability requires every in-flight type to be
-/// serializable, exactly like the networked executor.
-#[allow(clippy::too_many_arguments)]
-pub fn build_cut(
-    pe: usize,
-    pes: usize,
-    nonce: u64,
-    boundary: u64,
-    store: &NodeStore,
-    ckpt: &CheckpointTable,
-    waiters: Vec<ParkedWaiter>,
-    events: Vec<(EventKey, u64)>,
-    codec: &dyn DurableCodec,
-) -> Result<DurableCut, DurableError> {
-    let mut cut = DurableCut::new(pe, pes, nonce);
-    cut.boundary = boundary;
-    cut.store = codec
-        .encode_store(store)
-        .map_err(|detail| DurableError::Codec { detail })?;
-    for (id, owner, label, snap) in ckpt.iter_ordered() {
-        if owner != pe {
-            continue;
-        }
-        let snap = snap
-            .and_then(|m| m.wire_snapshot())
-            .ok_or_else(|| DurableError::Codec {
-                detail: format!("messenger {label} (id {id}) has no wire snapshot"),
-            })?;
-        cut.residents.push(ResidentMsgr {
-            id,
-            label: label.to_string(),
-            snap,
-        });
-    }
-    cut.waiters = waiters;
-    cut.events = events;
-    Ok(cut)
-}
-
-/// Rebuild one PE's committed store: clone of the initial store plus a
-/// replay of its write journal — the same recipe crash recovery uses
-/// in memory, applied at spill time so the durable store is always the
-/// committed one even while the live store races ahead.
-pub fn committed_store(initial: &NodeStore, journal: &WriteJournal) -> NodeStore {
-    let mut store = initial.clone();
-    journal.replay_into(&mut store);
-    store
 }
 
 /// Reassemble a runnable [`Cluster`] from a full set of cuts.

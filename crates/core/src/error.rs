@@ -149,6 +149,23 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+impl RunError {
+    /// A [`RunError::Transport`] with this detail.
+    pub fn transport(detail: impl Into<String>) -> RunError {
+        RunError::Transport {
+            detail: detail.into(),
+        }
+    }
+}
+
+/// Human-readable payload of a caught panic.
+pub fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
+    p.downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| p.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

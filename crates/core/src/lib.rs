@@ -33,11 +33,14 @@
 //!
 //! ## Executing
 //!
-//! Two interchangeable executors run the same messengers:
-//!
 //! The three transformations themselves (DSC, pipelining, phase
 //! shifting) are available as a reusable API in [`transform`] — the
 //! paper's future-work item made concrete.
+//!
+//! Every executor drives one per-PE core, [`daemon`] (step loop, fault
+//! policy, recovery, events, instrumentation); only the scheduler
+//! differs. Two interchangeable executors live here, a third
+//! (`navp-net`) runs each PE as an OS process:
 //!
 //! * [`SimExecutor`] — a deterministic discrete-event simulator over the
 //!   [`navp_sim`] virtual cluster. Work is charged through
@@ -56,6 +59,7 @@
 
 pub mod agent;
 pub mod cluster;
+pub mod daemon;
 pub mod durable;
 pub mod error;
 pub mod explore;

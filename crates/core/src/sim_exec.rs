@@ -15,30 +15,31 @@
 //!   configuration replays **bit-identically** — the property the
 //!   determinism tests pin down with trace fingerprints.
 //!
+//! The step loop, fault policy and recovery are the shared per-PE core
+//! ([`crate::daemon`]); this module is its virtual-time scheduler.
+//!
 //! The result is a [`SimReport`]: virtual makespan, the post-run stores
 //! (to extract the product matrix), and optionally a full [`Trace`].
 
-use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs};
+use crate::agent::*;
 use crate::cluster::{Cluster, ClusterParts};
-use crate::durable::{self, DurableCodec, DurableError, Manifest, ParkedWaiter};
+pub use crate::daemon::HOP_STATE_BYTES;
+use crate::daemon::{
+    DurableSink, EventTable, Parked, PeCore, PeHooks, PeSched, Recovery, Restart, RunSpan,
+};
+use crate::durable::DurableCodec;
 use crate::error::RunError;
-use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
-use crate::recovery::{CheckpointTable, WriteJournal};
+use crate::fault::FaultStats;
 use navp_metrics::RunMetrics;
-use navp_obs::EventKind as ObsKind;
 use navp_sim::key::{EventKey, NodeId};
-use navp_sim::store::NodeStore;
 use navp_sim::memory::MemoryModel;
+use navp_sim::store::NodeStore;
 use navp_sim::trace::{Trace, TraceEvent, TraceKind};
 use navp_sim::{CostModel, EventQueue, PeResources, VTime};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use navp_trace::PeRecorder;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Fixed per-hop state overhead in bytes (thread control block, program
-/// counter, daemon bookkeeping) — the paper's "small amount of state data".
-pub const HOP_STATE_BYTES: u64 = 256;
+use std::time::Instant;
 
 struct AgentSlot {
     msgr: Option<Box<dyn Messenger>>,
@@ -48,27 +49,6 @@ struct AgentSlot {
     /// from a checkpoint, so queue entries from before the crash are
     /// recognized as stale and discarded.
     gen: u64,
-}
-
-/// Fault-injection state, allocated only when the cluster carries a
-/// non-empty [`FaultPlan`](crate::FaultPlan) — fault-free runs pay
-/// nothing.
-struct FaultMachinery {
-    tracker: FaultTracker,
-    ckpt: CheckpointTable,
-    journals: Vec<WriteJournal>,
-    /// Pristine pre-run stores; a crashed PE's store is rebuilt as
-    /// `initial + journal replay`.
-    initial: Vec<NodeStore>,
-    stats: FaultStats,
-}
-
-#[derive(Default)]
-struct EventState {
-    count: u64,
-    /// Parked agents with the virtual time they parked at (feeds the
-    /// park-time metrics; in this executor park durations are virtual).
-    waiters: VecDeque<(usize, VTime)>,
 }
 
 /// Result of a virtual-time run.
@@ -102,94 +82,210 @@ impl std::fmt::Debug for SimReport {
     }
 }
 
-/// Durable-spill state: target directory, codec, session nonce and the
-/// monotone boundary counter stamped into each cut.
-struct DurableSpill {
-    dir: PathBuf,
-    codec: Arc<dyn DurableCodec>,
-    nonce: u64,
-    boundary: u64,
-}
-
-fn durable_run_err(e: DurableError) -> RunError {
-    RunError::Transport {
-        detail: e.to_string(),
-    }
-}
-
-/// Spill the whole cluster's consistent cut (committed stores, live
-/// checkpoints, event service) to the durable directory. Called only at
-/// run boundaries, where the recovery invariants guarantee consistency.
-fn spill_all(
-    ds: &mut DurableSpill,
-    fm: &FaultMachinery,
-    num_nodes: usize,
-    events: &HashMap<EventKey, EventState>,
-    agents: &[AgentSlot],
-    metrics: Option<&RunMetrics>,
-) -> Result<(), RunError> {
-    ds.boundary += 1;
-    // Event counts and parked waiters all go into PE 0's cut: restore
-    // replays every cut's event section regardless of which PE it rode
-    // in, and each waiter records its own origin PE.
-    let mut waiters = Vec::new();
-    let mut counts = Vec::new();
-    let mut keys: Vec<&EventKey> = events.keys().collect();
-    keys.sort();
-    for key in keys {
-        let st = &events[key];
-        if st.count > 0 {
-            counts.push((*key, st.count));
-        }
-        for &(aid, _) in &st.waiters {
-            let m = agents[aid].msgr.as_ref().ok_or_else(|| RunError::Transport {
-                detail: format!("parked agent {} has no messenger", agents[aid].label),
-            })?;
-            let snap = m.wire_snapshot().ok_or_else(|| RunError::NotSerializable {
-                agent: agents[aid].label.clone(),
-            })?;
-            waiters.push(ParkedWaiter {
-                id: aid as u64,
-                origin: agents[aid].pe as u32,
-                key: *key,
-                snap,
-            });
-        }
-    }
-    for pe in 0..num_nodes {
-        let store = durable::committed_store(&fm.initial[pe], &fm.journals[pe]);
-        let (w, c) = if pe == 0 {
-            (std::mem::take(&mut waiters), std::mem::take(&mut counts))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let cut = durable::build_cut(
-            pe,
-            num_nodes,
-            ds.nonce,
-            ds.boundary,
-            &store,
-            &fm.ckpt,
-            w,
-            c,
-            ds.codec.as_ref(),
-        )
-        .map_err(durable_run_err)?;
-        let bytes = durable::write_cut(&ds.dir, &cut).map_err(durable_run_err)?;
-        if let Some(mx) = metrics {
-            mx.durable_flushes.inc();
-            mx.durable_bytes.add(bytes);
-        }
-    }
-    Ok(())
-}
-
 /// Deterministic discrete-event executor for NavP programs.
 pub struct SimExecutor {
     cost: CostModel,
     tracing: bool,
     metrics: Option<Arc<RunMetrics>>,
     durable: Option<(PathBuf, Arc<dyn DurableCodec>)>,
+}
+
+/// The whole simulated cluster, scheduled on one virtual clock. While a
+/// run executes, `pe`/`aid`/`t` name the PE, the running agent and the
+/// time its next step may start (the end of its last one).
+struct SimSched<'c> {
+    cost: &'c CostModel,
+    pe: NodeId,
+    aid: usize,
+    t: VTime,
+    stores: Vec<NodeStore>,
+    res: Vec<PeResources>,
+    // Queue payloads carry the agent's delivery generation so
+    // deliveries scheduled before a crash are discarded as stale.
+    queue: EventQueue<(usize, u64)>,
+    agents: Vec<AgentSlot>,
+    /// Parked agents, stamped with the virtual time they parked at.
+    events: EventTable<Parked>,
+    trace: Trace,
+    fm: Option<Recovery>,
+    ds: Option<DurableSink>,
+    live: usize,
+    makespan: VTime,
+    steps: u64,
+    hops: u64,
+    hop_bytes: u64,
+}
+
+impl SimSched<'_> {
+    fn trace(&mut self, start: VTime, end: VTime, kind: TraceKind) {
+        let label = self.agents[self.aid].label.clone();
+        self.trace.push(TraceEvent {
+            start,
+            end,
+            actor: self.aid as u64,
+            label,
+            kind,
+        });
+    }
+
+    fn admit(&mut self, msgr: Box<dyn Messenger>, at: VTime) {
+        let label = msgr.label();
+        self.agents.push(AgentSlot {
+            msgr: Some(msgr),
+            pe: self.pe,
+            label,
+            gen: 0,
+        });
+        self.live += 1;
+        self.queue.schedule(at, (self.agents.len() - 1, 0));
+    }
+
+    fn spill(&mut self, hooks: &PeHooks) -> Result<(), RunError> {
+        match (&mut self.ds, &self.fm) {
+            (Some(ds), Some(fm)) => ds.spill(fm, self.events.parked_section()?, hooks),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl PeSched for SimSched<'_> {
+    fn store(&mut self) -> &mut NodeStore {
+        &mut self.stores[self.pe]
+    }
+
+    fn recovery<T>(&mut self, f: impl FnOnce(&mut Recovery, &mut NodeStore) -> T) -> Option<T> {
+        let store = &mut self.stores[self.pe];
+        self.fm.as_mut().map(|r| f(r, store))
+    }
+
+    fn stepped(&mut self, msgr: &dyn Messenger, out: &StepOutputs) {
+        self.steps += 1;
+        // Duration: modeled compute + daemon overhead + paging.
+        let cost = self.cost;
+        let mut dur = cost.compute_time(out.flops, out.factor.max(1.0))
+            + cost.overhead()
+            + VTime::from_secs_f64(out.extra_seconds);
+        if out.touched_bytes > 0 {
+            let mut mem = MemoryModel::new();
+            mem.grow(self.stores[self.pe].total_bytes() + msgr.payload_bytes());
+            let fault = mem.fault_time(out.touched_bytes, cost);
+            if fault > VTime::ZERO {
+                dur += fault;
+                let pe = self.pe;
+                self.trace(self.t, self.t + fault, TraceKind::Fault { pe });
+            }
+        }
+        let (start, end) = self.res[self.pe].run(self.t, dur);
+        self.makespan = self.makespan.max(end);
+        let pe = self.pe;
+        self.trace(start, end, TraceKind::Exec { pe });
+        // Injections, wake-ups and departures happen when the step
+        // completes; a continuing run's next step starts there too.
+        self.t = end;
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        self.agents.len() as u64
+    }
+
+    fn inject(&mut self, _id: u64, msgr: Box<dyn Messenger>) {
+        self.admit(msgr, self.t);
+    }
+
+    fn signal(&mut self, hooks: &mut PeHooks, key: EventKey) -> Result<(), RunError> {
+        let (end, pe) = (self.t, self.pe);
+        self.trace(end, end, TraceKind::Signal { pe });
+        if let Some((id, msgr, home, parked_at)) = self.events.signal(key) {
+            // Waking a parked messenger is a delivery point: it re-enters
+            // its PE's failure domain.
+            if let Some(fm) = &mut self.fm {
+                fm.deliver(id, home, msgr.as_ref(), hooks);
+            }
+            // Park durations are virtual on this executor.
+            let parked = end.as_secs_f64() - VTime(parked_at).as_secs_f64();
+            hooks.park_time(home, (parked.max(0.0) * 1e9) as u64);
+            let a = &mut self.agents[id as usize];
+            a.msgr = Some(msgr);
+            self.queue.schedule(end, (id as usize, a.gen));
+        }
+        Ok(())
+    }
+
+    fn wait(
+        &mut self,
+        hooks: &mut PeHooks,
+        run: &RunSpan,
+        msgr: Box<dyn Messenger>,
+        key: EventKey,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        if self.events.take(key) {
+            return Ok(Some(msgr));
+        }
+        hooks.park(run);
+        let (end, pe) = (self.t, self.pe);
+        self.trace(end, end, TraceKind::Block { pe });
+        self.events.park(key, (run.id, msgr, pe, end.0));
+        Ok(None)
+    }
+
+    fn hop(
+        &mut self,
+        hooks: &mut PeHooks,
+        id: u64,
+        msgr: Box<dyn Messenger>,
+        dst: NodeId,
+        payload: u64,
+        _sent_ns: u64,
+    ) -> Result<(), RunError> {
+        let (end, pe, aid) = (self.t, self.pe, self.aid);
+        let bytes = payload + HOP_STATE_BYTES;
+        let (_departed, mut arrival) = self.res[pe].send(end, bytes, self.cost);
+        if let Some(fm) = &mut self.fm {
+            for wait in fm.hop_faults(dst, hooks)? {
+                arrival += VTime::from_secs_f64(wait);
+            }
+            // The hop is a delivery point: checkpoint the post-run state
+            // into the destination's failure domain.
+            fm.deliver(id, dst, msgr.as_ref(), hooks);
+        }
+        self.trace(
+            end,
+            arrival,
+            TraceKind::Transfer {
+                from: pe,
+                to: dst,
+                bytes,
+            },
+        );
+        self.hops += 1;
+        self.hop_bytes += bytes;
+        let a = &mut self.agents[aid];
+        a.pe = dst;
+        a.msgr = Some(msgr);
+        self.makespan = self.makespan.max(arrival);
+        self.queue.schedule(arrival, (aid, a.gen));
+        Ok(())
+    }
+
+    fn done(&mut self) {
+        self.live -= 1;
+    }
+
+    fn restarted(&mut self, restart: Restart) {
+        let fm = self.fm.as_ref().expect("only recovery restarts a PE");
+        let resume = self.t + VTime::from_secs_f64(fm.plan().recovery_seconds);
+        for (id, snap) in restart.redeliver {
+            let a = &mut self.agents[id as usize];
+            a.gen += 1;
+            a.msgr = Some(snap);
+            self.queue.schedule(resume, (id as usize, a.gen));
+        }
+        self.makespan = self.makespan.max(resume);
+    }
+
+    fn run_committed(&mut self, hooks: &PeHooks) -> Result<(), RunError> {
+        self.spill(hooks)
+    }
 }
 
 impl SimExecutor {
@@ -251,447 +347,98 @@ impl SimExecutor {
             initial_events,
             fault_plan,
         } = cluster.into_parts();
-        let num_nodes = stores.len();
-        let mut pes: Vec<PeResources> = (0..num_nodes).map(|_| PeResources::new()).collect();
-        // Queue payloads carry the agent's delivery generation so
-        // deliveries scheduled before a crash are discarded as stale.
-        let mut queue: EventQueue<(usize, u64)> = EventQueue::new();
-        let mut agents: Vec<AgentSlot> = Vec::with_capacity(injections.len());
-        let mut events: HashMap<EventKey, EventState> = HashMap::new();
-        let mut trace = if self.tracing {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
-        // Flight-recorder lane for the whole simulated mesh. Events
+        let pes = stores.len();
+        let fm = Recovery::for_cluster(fault_plan, self.durable.is_some(), &mut stores)?;
+        // One flight-recorder lane for the whole simulated mesh. Events
         // are observational only — nothing reads them back into the
         // run, so products stay bitwise-identical recorder on or off.
-        let flight_lane = navp_obs::flight().lane("sim");
-
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match fault_plan {
-            Some(p) => Some(p),
-            None => FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?,
+        let lane = navp_obs::flight().lane("sim");
+        let mut cores: Vec<PeCore> = (0..pes)
+            .map(|pe| {
+                let hooks = PeHooks::new(
+                    pe,
+                    0,
+                    self.metrics.clone(),
+                    Arc::clone(&lane),
+                    PeRecorder::disabled(),
+                    Instant::now(),
+                );
+                PeCore::new(pe, pes, hooks)
+            })
+            .collect();
+        let mut s = SimSched {
+            cost: &self.cost,
+            pe: 0,
+            aid: 0,
+            t: VTime::ZERO,
+            stores,
+            res: (0..pes).map(|_| PeResources::new()).collect(),
+            queue: EventQueue::new(),
+            agents: Vec::with_capacity(injections.len()),
+            events: EventTable::default(),
+            trace: if self.tracing {
+                Trace::enabled()
+            } else {
+                Trace::disabled()
+            },
+            fm,
+            ds: None,
+            live: 0,
+            makespan: VTime::ZERO,
+            steps: 0,
+            hops: 0,
+            hop_bytes: 0,
         };
-        // Durable mode needs the journal/checkpoint machinery even
-        // under an empty fault plan: the cut it spills *is* that state.
-        let fault_plan = match fault_plan.filter(|p| !p.is_empty()) {
-            None if self.durable.is_some() => Some(FaultPlan::new()),
-            other => other,
-        };
-        let mut fm = fault_plan.map(|plan| {
-            // Snapshot the pristine stores before write tracking starts:
-            // a crashed PE's store is rebuilt from this plus its journal.
-            // Copy-on-write makes this a reference bump per entry.
-            let initial = stores.clone();
-            for s in &mut stores {
-                s.enable_tracking();
-            }
-            FaultMachinery {
-                tracker: FaultTracker::new(plan, num_nodes),
-                ckpt: CheckpointTable::new(),
-                journals: (0..num_nodes).map(|_| WriteJournal::new()).collect(),
-                initial,
-                stats: FaultStats::default(),
-            }
-        });
-
         for key in initial_events {
-            events.entry(key).or_default().count += 1;
+            s.events.bank(key);
         }
-
-        let metrics = self.metrics.as_deref();
-        let note_ckpt = |m: &dyn Messenger| {
-            if let Some(mx) = metrics {
-                mx.checkpoints.inc();
-                mx.checkpoint_bytes.add(m.payload_bytes());
-            }
-        };
-        let mut live = 0usize;
         for (pe, msgr) in injections {
-            let label = msgr.label();
-            if let Some(fm) = &mut fm {
-                fm.ckpt.register(agents.len() as u64, pe, msgr.as_ref());
-                note_ckpt(msgr.as_ref());
+            let hooks = &cores[pe].hooks;
+            let id = s.agents.len() as u64;
+            if let Some(fm) = &mut s.fm {
+                fm.deliver(id, pe, msgr.as_ref(), hooks);
             }
-            if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                p.injections.inc();
-            }
-            agents.push(AgentSlot {
-                msgr: Some(msgr),
-                pe,
-                label,
-                gen: 0,
-            });
-            queue.schedule(VTime::ZERO, (agents.len() - 1, 0));
-            live += 1;
+            hooks.inject();
+            s.pe = pe;
+            s.admit(msgr, VTime::ZERO);
+        }
+        if let Some((dir, codec)) = &self.durable {
+            s.ds = Some(DurableSink::open(dir.clone(), Arc::clone(codec), pes)?);
+            // Boundary 0: the injected-but-unrun cluster, so even a kill
+            // before the first run restores cleanly.
+            s.spill(&cores[0].hooks)?;
         }
 
-        let mut ds = match &self.durable {
-            Some((dir, codec)) => {
-                let nonce = durable::fresh_nonce();
-                durable::write_manifest(dir, &Manifest {
-                    pes: num_nodes,
-                    nonce,
-                })
-                .map_err(durable_run_err)?;
-                let mut ds = DurableSpill {
-                    dir: dir.clone(),
-                    codec: Arc::clone(codec),
-                    nonce,
-                    boundary: 0,
-                };
-                // Boundary 0: the injected-but-unrun cluster, so even a
-                // kill before the first run restores cleanly.
-                let fm = fm.as_ref().expect("durable mode forces fault machinery");
-                spill_all(&mut ds, fm, num_nodes, &events, &agents, metrics)?;
-                Some(ds)
-            }
-            None => None,
-        };
-
-        let mut out = StepOutputs::default();
-        let mut makespan = VTime::ZERO;
-        let (mut steps, mut hops, mut hop_bytes) = (0u64, 0u64, 0u64);
-
-        while let Some((t, (aid, gen))) = queue.pop() {
-            if agents[aid].gen != gen {
+        while let Some((t, (aid, gen))) = s.queue.pop() {
+            let a = &mut s.agents[aid];
+            if a.gen != gen {
                 // Scheduled before a crash re-delivered this agent.
                 continue;
             }
-            let pe = agents[aid].pe;
-
-            // A delivery is a run boundary: the only place a fault plan
-            // may crash this PE.
-            if let Some(fm) = &mut fm {
-                if let Some(run) = fm.tracker.on_run(pe) {
-                    if !fm.tracker.plan().checkpointing {
-                        return Err(RunError::PeCrashed { pe, run });
-                    }
-                    fm.stats.crashes += 1;
-                    if let Some(mx) = metrics {
-                        mx.faults.inc();
-                    }
-                    // Rebuild the store: pristine copy + journal replay.
-                    let mut rebuilt = fm.initial[pe].clone();
-                    fm.stats.replayed_writes += fm.journals[pe].replay_into(&mut rebuilt);
-                    rebuilt.enable_tracking();
-                    stores[pe] = rebuilt;
-                    // Re-deliver every messenger lost with the PE from
-                    // its last checkpoint (parked event-waiters survive
-                    // in the event service and are not re-delivered).
-                    let resume =
-                        t + VTime::from_secs_f64(fm.tracker.plan().recovery_seconds);
-                    for (id, label, snap) in fm.ckpt.drain_pe(pe) {
-                        let Some(snap) = snap else {
-                            return Err(RunError::RecoveryFailed {
-                                pe,
-                                reason: format!(
-                                    "messenger {label} does not support snapshots"
-                                ),
-                            });
-                        };
-                        fm.ckpt.register(id, pe, snap.as_ref());
-                        note_ckpt(snap.as_ref());
-                        let id = id as usize;
-                        agents[id].gen += 1;
-                        agents[id].msgr = Some(snap);
-                        queue.schedule(resume, (id, agents[id].gen));
-                        fm.stats.redelivered += 1;
-                    }
-                    makespan = makespan.max(resume);
-                    continue;
-                }
-            }
-
-            let mut msgr = match agents[aid].msgr.take() {
-                Some(m) => m,
-                // A stale wake-up for an agent that already finished
-                // cannot happen (Done agents are never rescheduled), but
-                // be defensive.
-                None => continue,
-            };
-
-            // The MESSENGERS daemon is non-preemptive: a messenger runs
-            // until it leaves the PE, blocks on an unsignalled event, or
-            // finishes. Local hops and waits on already-banked events
-            // therefore continue inline (`t` advances to the step's end),
-            // exactly like the threaded executor's daemon loop.
-            let mut t = t;
-            loop {
-            out.clear();
-            let effect = {
-                let mut ctx = MsgrCtx::new(pe, num_nodes, &mut stores[pe], &mut out);
-                msgr.step(&mut ctx)
-            };
-            steps += 1;
-            if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                p.steps.inc();
-            }
-
-            // Duration: modeled compute + daemon overhead + paging.
-            let mut dur = self
-                .cost
-                .compute_time(out.flops, out.factor.max(1.0))
-                + self.cost.overhead()
-                + VTime::from_secs_f64(out.extra_seconds);
-            if out.touched_bytes > 0 {
-                let mut mem = MemoryModel::new();
-                mem.grow(stores[pe].total_bytes() + msgr.payload_bytes());
-                let fault = mem.fault_time(out.touched_bytes, &self.cost);
-                if fault > VTime::ZERO {
-                    dur += fault;
-                    trace.push(TraceEvent {
-                        start: t,
-                        end: t + fault,
-                        actor: aid as u64,
-                        label: agents[aid].label.clone(),
-                        kind: TraceKind::Fault { pe },
-                    });
-                }
-            }
-            let (start, end) = pes[pe].run(t, dur);
-            makespan = makespan.max(end);
-            trace.push(TraceEvent {
-                start,
-                end,
-                actor: aid as u64,
-                label: agents[aid].label.clone(),
-                kind: TraceKind::Exec { pe },
-            });
-
-            // Local injections become runnable when this step completes.
-            for inj in out.injections.drain(..) {
-                let label = inj.label();
-                if let Some(fm) = &mut fm {
-                    fm.ckpt.register(agents.len() as u64, pe, inj.as_ref());
-                    note_ckpt(inj.as_ref());
-                }
-                if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                    p.injections.inc();
-                }
-                agents.push(AgentSlot {
-                    msgr: Some(inj),
-                    pe,
-                    label,
-                    gen: 0,
-                });
-                live += 1;
-                queue.schedule(end, (agents.len() - 1, 0));
-            }
-
-            // Signals: wake one waiter each, or bank the count.
-            for key in out.signals.drain(..) {
-                if let Some(fm) = &mut fm {
-                    if fm.tracker.on_signal(pe) {
-                        fm.stats.signals_lost += 1;
-                        if let Some(mx) = metrics {
-                            mx.faults.inc();
-                        }
-                        continue;
-                    }
-                }
-                if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                    p.signals.inc();
-                }
-                trace.push(TraceEvent {
-                    start: end,
-                    end,
-                    actor: aid as u64,
-                    label: agents[aid].label.clone(),
-                    kind: TraceKind::Signal { pe },
-                });
-                flight_lane.record(ObsKind::Signal, pe as u32, 0, aid as u64, 0);
-                let st = events.entry(key).or_default();
-                if let Some((waiter, parked_at)) = st.waiters.pop_front() {
-                    // Waking a parked messenger is a delivery point: it
-                    // re-enters its PE's failure domain, so checkpoint it.
-                    if let Some(fm) = &mut fm {
-                        if let Some(m) = agents[waiter].msgr.as_ref() {
-                            fm.ckpt.register(waiter as u64, agents[waiter].pe, m.as_ref());
-                            let bytes = m.payload_bytes();
-                            if let Some(mx) = metrics {
-                                mx.checkpoints.inc();
-                                mx.checkpoint_bytes.add(bytes);
-                            }
-                        }
-                    }
-                    if let Some(mx) = metrics {
-                        let parked_ns = ((end.as_secs_f64() - parked_at.as_secs_f64())
-                            .max(0.0)
-                            * 1e9) as u64;
-                        if let Some(p) = mx.pe(agents[waiter].pe) {
-                            p.park_ns.add(parked_ns);
-                        }
-                        mx.park_wait_ns.observe(parked_ns);
-                    }
-                    queue.schedule(end, (waiter, agents[waiter].gen));
-                } else {
-                    st.count += 1;
-                }
-            }
-
-            match effect {
-                Effect::Hop(dst) => {
-                    if dst >= num_nodes {
-                        return Err(RunError::BadHop {
-                            agent: agents[aid].label.clone(),
-                            dst,
-                            pes: num_nodes,
-                        });
-                    }
-                    if dst == pe {
-                        t = end;
-                        continue;
-                    } else {
-                        let bytes = msgr.payload_bytes() + HOP_STATE_BYTES;
-                        flight_lane.record(ObsKind::HopSend, pe as u32, 0, dst as u64, bytes);
-                        let (_departed, mut arrival) = pes[pe].send(end, bytes, &self.cost);
-                        if let Some(fm) = &mut fm {
-                            // Each delivery attempt may be faulted; a
-                            // dropped attempt is retried after a backoff
-                            // until the retry budget runs out.
-                            let mut attempts = 0u32;
-                            loop {
-                                match fm.tracker.on_hop(dst) {
-                                    None => break,
-                                    Some(HopFault::Delay { seconds }) => {
-                                        arrival += VTime::from_secs_f64(seconds);
-                                        fm.stats.hops_delayed += 1;
-                                        if let Some(mx) = metrics {
-                                            mx.faults.inc();
-                                        }
-                                        break;
-                                    }
-                                    Some(HopFault::Drop) => {
-                                        fm.stats.hops_dropped += 1;
-                                        if let Some(mx) = metrics {
-                                            mx.faults.inc();
-                                        }
-                                        attempts += 1;
-                                        if attempts > fm.tracker.plan().max_send_retries {
-                                            return Err(RunError::RecoveryFailed {
-                                                pe: dst,
-                                                reason: format!(
-                                                    "hop delivery dropped {attempts} times; retry budget exhausted"
-                                                ),
-                                            });
-                                        }
-                                        fm.stats.send_retries += 1;
-                                        arrival += VTime::from_secs_f64(
-                                            fm.tracker.plan().retry_backoff.as_secs_f64(),
-                                        );
-                                    }
-                                }
-                            }
-                            // The hop is a delivery point: checkpoint the
-                            // post-run state into the destination's
-                            // failure domain.
-                            fm.ckpt.register(aid as u64, dst, msgr.as_ref());
-                            note_ckpt(msgr.as_ref());
-                        }
-                        trace.push(TraceEvent {
-                            start: end,
-                            end: arrival,
-                            actor: aid as u64,
-                            label: agents[aid].label.clone(),
-                            kind: TraceKind::Transfer {
-                                from: pe,
-                                to: dst,
-                                bytes,
-                            },
-                        });
-                        hops += 1;
-                        hop_bytes += bytes;
-                        if let Some(mx) = metrics {
-                            if let Some(p) = mx.pe(pe) {
-                                p.hops.inc();
-                                p.hop_bytes.add(bytes);
-                            }
-                            mx.hop_payload_bytes.observe(bytes - HOP_STATE_BYTES);
-                        }
-                        agents[aid].pe = dst;
-                        agents[aid].msgr = Some(msgr);
-                        makespan = makespan.max(arrival);
-                        queue.schedule(arrival, (aid, agents[aid].gen));
-                        break;
-                    }
-                }
-                Effect::WaitEvent(key) => {
-                    let st = events.entry(key).or_default();
-                    if st.count > 0 {
-                        st.count -= 1;
-                        t = end;
-                        continue;
-                    } else {
-                        trace.push(TraceEvent {
-                            start: end,
-                            end,
-                            actor: aid as u64,
-                            label: agents[aid].label.clone(),
-                            kind: TraceKind::Block { pe },
-                        });
-                        st.waiters.push_back((aid, end));
-                        agents[aid].msgr = Some(msgr);
-                        if let Some(p) = metrics.and_then(|m| m.pe(pe)) {
-                            p.waits.inc();
-                        }
-                        // Parked state is held by the event service,
-                        // which survives PE crashes: drop the checkpoint.
-                        if let Some(fm) = &mut fm {
-                            fm.ckpt.remove(aid as u64);
-                        }
-                        break;
-                    }
-                }
-                Effect::Done => {
-                    live -= 1;
-                    if let Some(fm) = &mut fm {
-                        fm.ckpt.remove(aid as u64);
-                    }
-                    // msgr dropped here.
-                    break;
-                }
-            }
-            } // inner daemon loop
-
-            // Run boundary: commit this run's node-store writes to the
-            // PE's journal (atomic w.r.t. crashes, which only fire at
-            // delivery points).
-            if let Some(fm) = &mut fm {
-                fm.journals[pe].commit_dirty(&mut stores[pe]);
-                if let Some(mx) = metrics {
-                    mx.journal_commits.inc();
-                }
-                if let Some(ds) = &mut ds {
-                    spill_all(ds, fm, num_nodes, &events, &agents, metrics)?;
-                }
-            }
+            let Some(msgr) = a.msgr.take() else { continue };
+            let pe = a.pe;
+            (s.pe, s.aid, s.t) = (pe, aid, t);
+            cores[pe].run(&mut s, aid as u64, msgr)?;
         }
 
-        if live > 0 {
-            let mut blocked = Vec::new();
-            for (key, st) in &events {
-                for &(aid, _) in &st.waiters {
-                    if agents[aid].msgr.is_some() {
-                        blocked.push((agents[aid].label.clone(), key.to_string()));
-                    }
-                }
-            }
+        if s.live > 0 {
+            let mut blocked: Vec<(String, String)> = s
+                .events
+                .waiters()
+                .map(|(key, (id, ..))| (s.agents[*id as usize].label.clone(), key.to_string()))
+                .collect();
             blocked.sort();
             return Err(RunError::Deadlock { blocked });
         }
 
         Ok(SimReport {
-            makespan,
-            stores,
-            trace,
-            steps,
-            hops,
-            hop_bytes,
-            faults: fm.map(|f| f.stats).unwrap_or_default(),
+            makespan: s.makespan,
+            stores: s.stores,
+            trace: s.trace,
+            steps: s.steps,
+            hops: s.hops,
+            hop_bytes: s.hop_bytes,
+            faults: s.fm.map(|f| f.stats).unwrap_or_default(),
         })
     }
 }

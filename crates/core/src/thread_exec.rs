@@ -11,55 +11,51 @@
 //! This executor does real work in real time (the arithmetic inside each
 //! step is what is being measured), so `charge_*` calls are ignored. Use
 //! it for benchmarks and to validate on live hardware the orderings the
-//! virtual-time executor predicts.
+//! virtual-time executor predicts. The step loop, fault policy and
+//! recovery are the shared per-PE core ([`crate::daemon`]); this module
+//! schedules it over channels.
 //!
 //! A watchdog converts silent deadlocks (every messenger parked on an
 //! event nobody will signal) into [`RunError::Stalled`].
 //!
 //! ## Fault tolerance
 //!
-//! When the cluster carries a [`FaultPlan`](crate::FaultPlan), the
-//! executor injects its faults and (with checkpointing on) absorbs PE
-//! crashes. A crash is quantized to a *run boundary*: before each
-//! messenger run the daemon asks the tracker whether its PE fails here.
-//! On a crash the daemon restarts itself in place — it discards its
-//! local queue and store, bumps its delivery *epoch*, rebuilds the store
-//! as `initial + write-journal replay`, and re-delivers the last
-//! checkpoint of every messenger in its failure domain. The epoch
-//! defeats double delivery: every channel send is stamped with the
-//! destination's epoch read under the same lock that registers the
+//! The fault policy and crash rebuild are the core's
+//! ([`Recovery`]); what this scheduler adds is the delivery *epoch*. A
+//! crash bumps its PE's epoch, and every channel send is stamped with
+//! the destination's epoch read under the same lock that registers the
 //! checkpoint, so a message racing a crash is either redelivered from
 //! its checkpoint (and the stale original discarded on receipt) or
 //! delivered normally — never both. Messengers parked on events live in
 //! the shared event service, which survives daemon restarts.
 
-use crate::agent::{Effect, Messenger, MsgrCtx, StepOutputs};
+use crate::agent::*;
 use crate::cluster::{Cluster, ClusterParts};
-use crate::durable::{self, DurableCodec, Manifest, ParkedWaiter};
-use crate::error::RunError;
-use crate::fault::{FaultPlan, FaultStats, FaultTracker, HopFault};
-use crate::recovery::{CheckpointTable, WriteJournal};
-use crate::sim_exec::HOP_STATE_BYTES;
+use crate::daemon::{
+    DurableSink, EventTable, Parked, PeCore, PeHooks, PeSched, Recovery, Restart, RunSpan,
+    HOP_STATE_BYTES,
+};
+use crate::durable::{self, DurableCodec};
+use crate::error::{panic_text, RunError};
+use crate::fault::FaultStats;
 use navp_metrics::RunMetrics;
-use navp_obs::EventKind as ObsKind;
 use navp_sim::key::{EventKey, NodeId};
 use navp_sim::store::NodeStore;
 use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{merge_pe_traces, PeLog, PeRecorder, Trace, TraceEvent, TraceKind};
+use navp_trace::*;
+use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Trace context a delivery carries, so the *receiving* daemon can
 /// record the hop transfer or event wait into its own recorder without
 /// any shared trace state. `None` on untraced runs.
 enum DeliveryMeta {
-    /// An inter-PE hop: where from, when it left (shared anchor clock),
-    /// and how many payload bytes moved.
-    Hop { from: NodeId, sent_ns: u64, bytes: u64 },
+    /// An inter-PE hop: where from and when it left (shared anchor clock).
+    Hop { from: NodeId, sent_ns: u64 },
     /// A woken event waiter: when it parked (shared anchor clock).
     Wake { parked_ns: u64 },
 }
@@ -78,111 +74,6 @@ enum DaemonMsg {
     Shutdown,
 }
 
-#[derive(Default)]
-struct EventState {
-    count: u64,
-    /// Parked messengers: (id, messenger, home PE, park timestamp on
-    /// the shared anchor clock — 0 when neither traced nor metered).
-    waiters: VecDeque<(u64, Box<dyn Messenger>, NodeId, u64)>,
-}
-
-/// Recovery state shared by all daemons, behind one lock so that
-/// epoch reads, checkpoint registration and crash collection serialize
-/// against each other (the exactly-once argument depends on it).
-struct Recovery {
-    tracker: FaultTracker,
-    ckpt: CheckpointTable,
-    journals: Vec<WriteJournal>,
-    /// Pristine pre-run stores; a crashed PE's store is rebuilt as
-    /// `initial + journal replay`.
-    initial: Vec<NodeStore>,
-    /// Per-PE delivery epoch, bumped on each crash of that PE.
-    epochs: Vec<u64>,
-    stats: FaultStats,
-}
-
-/// Durable-spill sink shared by all daemons: the directory, codec,
-/// session nonce and monotone boundary counter. Locked *after* the
-/// recovery lock (recovery → durable → events is the global order).
-struct DurableSink {
-    dir: PathBuf,
-    codec: Arc<dyn DurableCodec>,
-    nonce: u64,
-    boundary: u64,
-}
-
-/// Spill the whole cluster's consistent cut under the recovery lock.
-/// Every PE's committed store is `initial + journal`, every live
-/// messenger sits in the checkpoint table, and the event service holds
-/// the parked waiters — the same invariants in-memory crash recovery
-/// relies on, so the cut is consistent even while other daemons are
-/// mid-run (their uncommitted writes simply aren't in it yet).
-fn spill_threads(
-    sink: &mut DurableSink,
-    r: &Recovery,
-    pes: usize,
-    events: &Mutex<HashMap<EventKey, EventState>>,
-    metrics: Option<&RunMetrics>,
-) -> Result<(), RunError> {
-    sink.boundary += 1;
-    let mut waiters = Vec::new();
-    let mut counts = Vec::new();
-    {
-        let ev = events.lock().unwrap();
-        let mut keys: Vec<&EventKey> = ev.keys().collect();
-        keys.sort();
-        for key in keys {
-            let st = &ev[key];
-            if st.count > 0 {
-                counts.push((*key, st.count));
-            }
-            for (id, msgr, origin, _) in &st.waiters {
-                let snap = msgr
-                    .wire_snapshot()
-                    .ok_or_else(|| RunError::NotSerializable {
-                        agent: msgr.label(),
-                    })?;
-                waiters.push(ParkedWaiter {
-                    id: *id,
-                    origin: *origin as u32,
-                    key: *key,
-                    snap,
-                });
-            }
-        }
-    }
-    for pe in 0..pes {
-        let store = durable::committed_store(&r.initial[pe], &r.journals[pe]);
-        let (w, c) = if pe == 0 {
-            (std::mem::take(&mut waiters), std::mem::take(&mut counts))
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let cut = durable::build_cut(
-            pe,
-            pes,
-            sink.nonce,
-            sink.boundary,
-            &store,
-            &r.ckpt,
-            w,
-            c,
-            sink.codec.as_ref(),
-        )
-        .map_err(|e| RunError::Transport {
-            detail: e.to_string(),
-        })?;
-        let bytes = durable::write_cut(&sink.dir, &cut).map_err(|e| RunError::Transport {
-            detail: e.to_string(),
-        })?;
-        if let Some(m) = metrics {
-            m.durable_flushes.inc();
-            m.durable_bytes.add(bytes);
-        }
-    }
-    Ok(())
-}
-
 struct Shared {
     chans: Vec<Sender<DaemonMsg>>,
     live: AtomicUsize,
@@ -193,20 +84,19 @@ struct Shared {
     /// of the effective hop bandwidth the perf baseline reports.
     hop_bytes: AtomicU64,
     next_id: AtomicU64,
-    events: Mutex<HashMap<EventKey, EventState>>,
+    events: Mutex<EventTable<Parked>>,
     failure: Mutex<Option<RunError>>,
+    /// Recovery state shared by all daemons, behind one lock so that
+    /// epoch reads, checkpoint registration and crash collection
+    /// serialize against each other (the exactly-once argument depends
+    /// on it). Lock order: recovery → durable → events.
     recovery: Option<Mutex<Recovery>>,
     /// Durable checkpoint sink, `None` unless requested — durable-off
     /// runs perform zero filesystem syscalls.
     durable: Option<Mutex<DurableSink>>,
-    /// Wall tracing on? All daemons anchor their recorders at `anchor`,
-    /// so per-PE timestamps are directly comparable (offsets are zero).
-    trace: bool,
+    /// All daemons anchor their recorders here, so per-PE timestamps
+    /// are directly comparable (offsets are zero).
     anchor: Instant,
-    /// Live metric set, `None` unless requested — the `Option` test is
-    /// the single branch metrics-off hot paths pay (same discipline as
-    /// `PeRecorder::is_enabled`).
-    metrics: Option<Arc<RunMetrics>>,
 }
 
 impl Shared {
@@ -227,136 +117,163 @@ impl Shared {
     }
 
     /// Deliver messenger `id` to `dst`: checkpoint it into the
-    /// destination's failure domain, stamp the destination epoch, and
-    /// send. Hop deliveries (`is_hop`) additionally pass through the
-    /// fault plan's delay/drop rules, retrying dropped attempts with
-    /// backoff. Returns `false` when the run is failing.
-    fn send_agent(
+    /// destination's failure domain and stamp the destination epoch
+    /// under the recovery lock, then send.
+    fn deliver(
         &self,
+        hooks: &PeHooks,
         dst: NodeId,
         id: u64,
         msgr: Box<dyn Messenger>,
-        is_hop: bool,
         meta: Option<DeliveryMeta>,
-    ) -> bool {
-        let Some(rec) = &self.recovery else {
-            let _ = self.chans[dst].send(DaemonMsg::Agent {
-                id,
-                epoch: 0,
-                msgr,
-                meta,
-            });
-            return true;
-        };
-        enum Next {
-            Deliver(u64),
-            /// Sleep, then retry; the flag disarms further fault checks
-            /// (a Delay's attempt itself succeeds, as in the simulator).
-            Sleep(Duration, bool),
-            Fail(RunError),
-        }
-        let mut attempts = 0u32;
-        let mut faults_armed = is_hop;
-        let epoch = loop {
-            let next = {
-                let mut r = rec.lock().unwrap();
-                let fault = if faults_armed { r.tracker.on_hop(dst) } else { None };
-                match fault {
-                    None => {
-                        r.ckpt.register(id, dst, msgr.as_ref());
-                        self.note_checkpoint(msgr.as_ref());
-                        Next::Deliver(r.epochs[dst])
-                    }
-                    Some(HopFault::Delay { seconds }) => {
-                        r.stats.hops_delayed += 1;
-                        if let Some(m) = &self.metrics {
-                            m.faults.inc();
-                        }
-                        Next::Sleep(Duration::from_secs_f64(seconds), true)
-                    }
-                    Some(HopFault::Drop) => {
-                        r.stats.hops_dropped += 1;
-                        if let Some(m) = &self.metrics {
-                            m.faults.inc();
-                        }
-                        attempts += 1;
-                        if attempts > r.tracker.plan().max_send_retries {
-                            Next::Fail(RunError::RecoveryFailed {
-                                pe: dst,
-                                reason: format!(
-                                    "hop delivery dropped {attempts} times; retry budget exhausted"
-                                ),
-                            })
-                        } else {
-                            r.stats.send_retries += 1;
-                            Next::Sleep(r.tracker.plan().retry_backoff, false)
-                        }
-                    }
-                }
-            };
-            match next {
-                Next::Deliver(e) => break e,
-                Next::Sleep(d, disarm) => {
-                    // Keep the watchdog fed through injected latency.
-                    self.progress.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(d);
-                    if disarm {
-                        faults_armed = false;
-                    }
-                }
-                Next::Fail(err) => {
-                    self.fail(err);
-                    return false;
-                }
-            }
-        };
+    ) {
+        let epoch = self.recovery.as_ref().map_or(0, |rec| {
+            let mut r = rec.lock().unwrap();
+            r.deliver(id, dst, msgr.as_ref(), hooks);
+            r.epoch(dst)
+        });
         let _ = self.chans[dst].send(DaemonMsg::Agent {
             id,
             epoch,
             msgr,
             meta,
         });
-        true
     }
 
-    fn signal(&self, key: EventKey) {
-        let woken = {
-            let mut ev = self.events.lock().unwrap();
-            let st = ev.entry(key).or_default();
-            match st.waiters.pop_front() {
-                Some(w) => Some(w),
-                None => {
-                    st.count += 1;
-                    None
-                }
-            }
+    /// Spill the whole cluster's consistent cut under the recovery lock.
+    /// Every PE's committed store is `initial + journal`, every live
+    /// messenger sits in the checkpoint table, and the event service
+    /// holds the parked waiters — the same invariants in-memory crash
+    /// recovery relies on, so the cut is consistent even while other
+    /// daemons are mid-run (their uncommitted writes simply aren't in
+    /// it yet).
+    fn spill(&self, hooks: &PeHooks) -> Result<(), RunError> {
+        let (Some(rec), Some(ds)) = (&self.recovery, &self.durable) else {
+            return Ok(());
         };
+        let r = rec.lock().unwrap();
+        let mut sink = ds.lock().unwrap();
+        let section = self.events.lock().unwrap().parked_section()?;
+        sink.spill(&r, section, hooks)
+    }
+}
+
+/// One daemon's side of the core: its store, its local run queue
+/// (MESSENGERS' local scheduling queue) and the shared services.
+struct ThreadPe<'s> {
+    pe: NodeId,
+    shared: &'s Shared,
+    store: NodeStore,
+    local: VecDeque<(u64, Box<dyn Messenger>)>,
+}
+
+impl PeSched for ThreadPe<'_> {
+    fn store(&mut self) -> &mut NodeStore {
+        &mut self.store
+    }
+
+    fn recovery<T>(&mut self, f: impl FnOnce(&mut Recovery, &mut NodeStore) -> T) -> Option<T> {
+        let store = &mut self.store;
+        self.shared
+            .recovery
+            .as_ref()
+            .map(|rec| f(&mut rec.lock().unwrap(), store))
+    }
+
+    fn stepped(&mut self, _msgr: &dyn Messenger, _out: &StepOutputs) {
+        self.shared.steps.fetch_add(1, Ordering::Relaxed);
+        self.shared.progress.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        self.shared.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn inject(&mut self, id: u64, msgr: Box<dyn Messenger>) {
+        self.shared.live.fetch_add(1, Ordering::SeqCst);
+        self.local.push_back((id, msgr));
+    }
+
+    fn signal(&mut self, hooks: &mut PeHooks, key: EventKey) -> Result<(), RunError> {
+        let woken = self.shared.events.lock().unwrap().signal(key);
         if let Some((id, msgr, pe, parked_ns)) = woken {
-            self.progress.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                // parked_ns is stamped whenever trace or metrics are
-                // on, so a zero here only means "no park clock".
-                if parked_ns > 0 {
-                    let dur = (self.anchor.elapsed().as_nanos() as u64).saturating_sub(parked_ns);
-                    if let Some(p) = m.pe(pe) {
-                        p.park_ns.add(dur);
-                    }
-                    m.park_wait_ns.observe(dur);
-                }
-            }
+            self.shared.progress.fetch_add(1, Ordering::Relaxed);
+            hooks.unparked(pe, parked_ns);
             // Waking is a delivery point: the messenger re-enters its
             // PE's failure domain.
-            let meta = self.trace.then_some(DeliveryMeta::Wake { parked_ns });
-            self.send_agent(pe, id, msgr, false, meta);
+            let meta = hooks.tracing().then_some(DeliveryMeta::Wake { parked_ns });
+            self.shared.deliver(hooks, pe, id, msgr, meta);
+        }
+        Ok(())
+    }
+
+    fn wait(
+        &mut self,
+        hooks: &mut PeHooks,
+        run: &RunSpan,
+        msgr: Box<dyn Messenger>,
+        key: EventKey,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        let mut ev = self.shared.events.lock().unwrap();
+        if ev.take(key) {
+            return Ok(Some(msgr));
+        }
+        let parked_ns = hooks.park(run);
+        ev.park(key, (run.id, msgr, self.pe, parked_ns));
+        Ok(None)
+    }
+
+    fn hop(
+        &mut self,
+        hooks: &mut PeHooks,
+        id: u64,
+        msgr: Box<dyn Messenger>,
+        dst: NodeId,
+        payload: u64,
+        sent_ns: u64,
+    ) -> Result<(), RunError> {
+        let shared = self.shared;
+        shared.hops.fetch_add(1, Ordering::Relaxed);
+        shared
+            .hop_bytes
+            .fetch_add(payload + HOP_STATE_BYTES, Ordering::Relaxed);
+        if let Some(rec) = &shared.recovery {
+            let waits = rec.lock().unwrap().hop_faults(dst, hooks)?;
+            for wait in waits {
+                // Keep the watchdog fed through injected latency.
+                shared.progress.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_secs_f64(wait.max(0.0)));
+            }
+        }
+        let meta = hooks.tracing().then_some(DeliveryMeta::Hop {
+            from: self.pe,
+            sent_ns,
+        });
+        shared.deliver(hooks, dst, id, msgr, meta);
+        Ok(())
+    }
+
+    fn done(&mut self) {
+        if self.shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.shared.shutdown_all();
         }
     }
 
-    /// Count one checkpoint registration into the metric set.
-    fn note_checkpoint(&self, msgr: &dyn Messenger) {
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-            m.checkpoint_bytes.add(msgr.payload_bytes());
+    fn restarted(&mut self, restart: Restart) {
+        self.local.clear();
+        for (id, msgr) in restart.redeliver {
+            let _ = self.shared.chans[self.pe].send(DaemonMsg::Agent {
+                id,
+                epoch: restart.epoch,
+                msgr,
+                meta: None,
+            });
         }
+        self.shared.progress.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn run_committed(&mut self, hooks: &PeHooks) -> Result<(), RunError> {
+        self.shared.spill(hooks)
     }
 }
 
@@ -383,7 +300,6 @@ pub struct WallReport {
     /// Trace events evicted by the per-PE ring buffers.
     pub trace_dropped: u64,
 }
-
 impl std::fmt::Debug for WallReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WallReport")
@@ -404,7 +320,7 @@ pub struct ThreadExecutor {
     watchdog: Duration,
     trace: bool,
     metrics: Option<Arc<RunMetrics>>,
-    durable: Option<(PathBuf, Arc<dyn DurableCodec>)>,
+    durable: Option<(PathBuf, Arc<dyn durable::DurableCodec>)>,
 }
 
 impl Default for ThreadExecutor {
@@ -498,37 +414,8 @@ impl ThreadExecutor {
             });
         }
 
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match fault_plan {
-            Some(p) => Some(p),
-            None => FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?,
-        };
-        // Durable mode needs the journal/checkpoint machinery even
-        // under an empty fault plan: the cut it spills *is* that state.
-        let fault_plan = match fault_plan.filter(|p| !p.is_empty()) {
-            None if self.durable.is_some() => Some(FaultPlan::new()),
-            other => other,
-        };
-        let recovery = fault_plan.map(|plan| {
-            // Pristine pre-run image for crash rebuilds. The store is
-            // copy-on-write, so this is a per-entry reference bump, not a
-            // deep copy — payloads are only duplicated if a run later
-            // mutates them.
-            let initial = stores.clone();
-            for s in &mut stores {
-                s.enable_tracking();
-            }
-            Mutex::new(Recovery {
-                tracker: FaultTracker::new(plan, pes),
-                ckpt: CheckpointTable::new(),
-                journals: (0..pes).map(|_| WriteJournal::new()).collect(),
-                initial,
-                epochs: vec![0; pes],
-                stats: FaultStats::default(),
-            })
-        });
+        let recovery =
+            Recovery::for_cluster(fault_plan, self.durable.is_some(), &mut stores)?.map(Mutex::new);
 
         let mut senders = Vec::with_capacity(pes);
         let mut receivers: Vec<Receiver<DaemonMsg>> = Vec::with_capacity(pes);
@@ -545,67 +432,53 @@ impl ThreadExecutor {
             hops: AtomicU64::new(0),
             hop_bytes: AtomicU64::new(0),
             next_id: AtomicU64::new(injections.len() as u64),
-            events: Mutex::new(HashMap::new()),
+            events: Mutex::new(EventTable::default()),
             failure: Mutex::new(None),
             recovery,
             durable: match &self.durable {
-                Some((dir, codec)) => {
-                    let nonce = durable::fresh_nonce();
-                    durable::write_manifest(dir, &Manifest { pes, nonce }).map_err(|e| {
-                        RunError::Transport {
-                            detail: e.to_string(),
-                        }
-                    })?;
-                    Some(Mutex::new(DurableSink {
-                        dir: dir.clone(),
-                        codec: Arc::clone(codec),
-                        nonce,
-                        boundary: 0,
-                    }))
-                }
+                Some((dir, codec)) => Some(Mutex::new(DurableSink::open(
+                    dir.clone(),
+                    Arc::clone(codec),
+                    pes,
+                )?)),
                 None => None,
             },
-            trace: self.trace,
             anchor: Instant::now(),
-            metrics: self.metrics.clone(),
         };
+        // Every daemon's hooks, built once: the flight lane lookup takes
+        // a process-global lock, so it stays off the per-run path.
+        let cores: Vec<PeCore> = (0..pes)
+            .map(|pe| {
+                let hooks = PeHooks::new(
+                    pe,
+                    0,
+                    self.metrics.clone(),
+                    navp_obs::flight().lane(&format!("pe{pe}")),
+                    PeRecorder::with_anchor(shared.anchor, self.trace, DEFAULT_CAPACITY),
+                    shared.anchor,
+                );
+                PeCore::new(pe, pes, hooks)
+            })
+            .collect();
 
         {
             let mut ev = shared.events.lock().unwrap();
             for key in initial_events {
-                ev.entry(key).or_default().count += 1;
+                ev.bank(key);
             }
         }
         // Queue the time-zero injections before any daemon starts; each
         // is a delivery point, so checkpoint it.
         for (i, (pe, msgr)) in injections.into_iter().enumerate() {
-            let id = i as u64;
-            if let Some(rec) = &shared.recovery {
-                rec.lock().unwrap().ckpt.register(id, pe, msgr.as_ref());
-                shared.note_checkpoint(msgr.as_ref());
-            }
-            if let Some(p) = shared.metrics.as_ref().and_then(|m| m.pe(pe)) {
-                p.injections.inc();
-            }
-            let _ = shared.chans[pe].send(DaemonMsg::Agent {
-                id,
-                epoch: 0,
-                msgr,
-                meta: None,
-            });
+            cores[pe].hooks.inject();
+            shared.deliver(&cores[pe].hooks, pe, i as u64, msgr, None);
         }
-
         // Boundary 0: the injected-but-unrun cluster, so even a kill
         // before the first run restores cleanly.
-        if let (Some(rec), Some(ds)) = (&shared.recovery, &shared.durable) {
-            let r = rec.lock().unwrap();
-            let mut sink = ds.lock().unwrap();
-            spill_threads(&mut sink, &r, pes, &shared.events, shared.metrics.as_deref())?;
-        }
+        shared.spill(&cores[0].hooks)?;
 
         let start = Instant::now();
-        type DaemonOut = (NodeStore, Vec<TraceEvent>, u64);
-        let mut joined_stores: Vec<Option<DaemonOut>> = (0..pes).map(|_| None).collect();
+        let mut joined = Vec::with_capacity(pes);
         let mut panic_msg: Option<String> = None;
 
         std::thread::scope(|s| {
@@ -613,15 +486,16 @@ impl ThreadExecutor {
             let handles: Vec<_> = stores
                 .into_iter()
                 .zip(receivers)
+                .zip(cores)
                 .enumerate()
-                .map(|(pe, (store, rx))| {
+                .map(|(pe, ((store, rx), core))| {
                     s.spawn(move || {
                         // Report a messenger panic through the failure
                         // slot immediately, so the main loop stops at its
                         // next tick instead of waiting out the watchdog.
-                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || daemon(pe, pes, store, rx, shared),
-                        ));
+                        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            daemon(pe, store, core, rx, shared)
+                        }));
                         match run {
                             Ok(store) => store,
                             Err(p) => {
@@ -660,9 +534,9 @@ impl ThreadExecutor {
                 }
             }
 
-            for (pe, h) in handles.into_iter().enumerate() {
+            for h in handles {
                 match h.join() {
-                    Ok(store) => joined_stores[pe] = Some(store),
+                    Ok(out) => joined.push(out),
                     Err(p) => panic_msg = Some(panic_text(&*p)),
                 }
             }
@@ -680,19 +554,7 @@ impl ThreadExecutor {
             .as_ref()
             .map(|r| r.lock().unwrap().stats)
             .unwrap_or_default();
-        let mut stores = Vec::with_capacity(pes);
-        let mut logs = Vec::with_capacity(pes);
-        for (pe, joined) in joined_stores.into_iter().enumerate() {
-            let (store, events, dropped) = joined.expect("all daemons joined");
-            stores.push(store);
-            logs.push(PeLog {
-                pe,
-                // One shared anchor ⇒ clocks already agree.
-                offset_ns: 0,
-                events,
-                dropped,
-            });
-        }
+        let (stores, logs): (Vec<NodeStore>, Vec<PeLog>) = joined.into_iter().unzip();
         let (trace, trace_dropped) = if self.trace {
             let (t, d) = merge_pe_traces(logs);
             (Some(t), d)
@@ -716,110 +578,26 @@ impl ThreadExecutor {
     }
 }
 
-/// Human-readable payload of a caught panic.
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_string())
-}
-
-/// Crash check at a run boundary. Returns `true` when the daemon may run
-/// the messenger it holds; `false` when the PE just crashed (the held
-/// messenger's checkpoint has been re-delivered — drop the stale copy)
-/// or the run is failing.
-fn survive_run_boundary(
-    shared: &Shared,
-    pe: NodeId,
-    store: &mut NodeStore,
-    local: &mut VecDeque<(u64, Box<dyn Messenger>)>,
-    recorder: &mut PeRecorder,
-) -> bool {
-    let Some(rec) = &shared.recovery else {
-        return true;
-    };
-    let redeliver = {
-        let mut r = rec.lock().unwrap();
-        let Some(run) = r.tracker.on_run(pe) else {
-            return true;
-        };
-        if !r.tracker.plan().checkpointing {
-            drop(r);
-            shared.fail(RunError::PeCrashed { pe, run });
-            return false;
-        }
-        r.stats.crashes += 1;
-        if let Some(m) = &shared.metrics {
-            m.faults.inc();
-        }
-        // Daemon restart: new epoch (stale in-flight deliveries will be
-        // discarded), fresh store from the journal, empty local queue.
-        r.epochs[pe] += 1;
-        let epoch = r.epochs[pe];
-        let mut rebuilt = r.initial[pe].clone();
-        r.stats.replayed_writes += r.journals[pe].replay_into(&mut rebuilt);
-        rebuilt.enable_tracking();
-        *store = rebuilt;
-        local.clear();
-        // Re-deliver everything lost with the PE from its checkpoints.
-        let mut to_send = Vec::new();
-        let mut lost: Option<String> = None;
-        for (id, label, snap) in r.ckpt.drain_pe(pe) {
-            match snap {
-                Some(snap) => {
-                    r.ckpt.register(id, pe, snap.as_ref());
-                    r.stats.redelivered += 1;
-                    to_send.push((id, epoch, snap));
-                }
-                None => lost = Some(label),
-            }
-        }
-        if let Some(label) = lost {
-            drop(r);
-            shared.fail(RunError::RecoveryFailed {
-                pe,
-                reason: format!("messenger {label} does not support snapshots"),
-            });
-            return false;
-        }
-        to_send
-    };
-    recorder.instant(u64::MAX, "crash", TraceKind::Fault { pe });
-    for (id, epoch, msgr) in redeliver {
-        let _ = shared.chans[pe].send(DaemonMsg::Agent {
-            id,
-            epoch,
-            msgr,
-            meta: None,
-        });
-    }
-    shared.progress.fetch_add(1, Ordering::Relaxed);
-    false
-}
-
-/// The daemon loop of one PE. Owns the PE's node-variable store for the
-/// duration of the run and returns it when the PE shuts down.
+/// The daemon loop of one PE: receive deliveries and run them through
+/// the core. Owns the PE's node-variable store for the duration of the
+/// run and returns it (with its trace log) when the PE shuts down.
 fn daemon(
     pe: NodeId,
-    pes: usize,
-    mut store: NodeStore,
+    store: NodeStore,
+    mut core: PeCore,
     rx: Receiver<DaemonMsg>,
     shared: &Shared,
-) -> (NodeStore, Vec<TraceEvent>, u64) {
-    // Locally injected messengers run before we poll the channel again —
-    // MESSENGERS' local scheduling queue.
-    let mut local: VecDeque<(u64, Box<dyn Messenger>)> = VecDeque::new();
-    let mut out = StepOutputs::default();
-    // This daemon's private trace ring: single writer, no locks.
-    let mut recorder = PeRecorder::with_anchor(shared.anchor, shared.trace, DEFAULT_CAPACITY);
-    // This daemon's slice of the metric set, hoisted so the hot loop
-    // pays one pointer test, not a registry lookup.
-    let pm = shared.metrics.as_ref().and_then(|m| m.pe(pe));
+) -> (NodeStore, PeLog) {
+    let mut sched = ThreadPe {
+        pe,
+        shared,
+        store,
+        local: VecDeque::new(),
+    };
     loop {
-        if let Some(p) = pm {
-            p.queue_depth.set(local.len() as i64);
-        }
-        let (id, msgr) = if let Some(m) = local.pop_front() {
+        core.hooks.queue_depth(sched.local.len());
+        // Locally injected messengers run before the channel is polled.
+        let (id, msgr) = if let Some(m) = sched.local.pop_front() {
             m
         } else {
             match rx.recv_timeout(Duration::from_millis(100)) {
@@ -830,7 +608,7 @@ fn daemon(
                     meta,
                 }) => {
                     if let Some(rec) = &shared.recovery {
-                        if rec.lock().unwrap().epochs[pe] != epoch {
+                        if rec.lock().unwrap().epoch(pe) != epoch {
                             // Sent before a crash of this PE; the crash
                             // re-delivered it from its checkpoint.
                             continue;
@@ -838,38 +616,14 @@ fn daemon(
                     }
                     // The receiving side records deliveries: hop
                     // transfers end here, event waits end here.
-                    if recorder.is_enabled() {
-                        match meta {
-                            Some(DeliveryMeta::Hop {
-                                from,
-                                sent_ns,
-                                bytes,
-                            }) => {
-                                let now = recorder.now_ns();
-                                recorder.record(
-                                    sent_ns,
-                                    now,
-                                    id,
-                                    &msgr.label(),
-                                    TraceKind::Transfer {
-                                        from,
-                                        to: pe,
-                                        bytes,
-                                    },
-                                );
-                            }
-                            Some(DeliveryMeta::Wake { parked_ns }) => {
-                                let now = recorder.now_ns();
-                                recorder.record(
-                                    parked_ns,
-                                    now,
-                                    id,
-                                    &msgr.label(),
-                                    TraceKind::Block { pe },
-                                );
-                            }
-                            None => {}
+                    match meta {
+                        Some(DeliveryMeta::Hop { from, sent_ns }) => {
+                            core.hooks.arrived(from, id, msgr.as_ref(), sent_ns, 0)
                         }
+                        Some(DeliveryMeta::Wake { parked_ns }) => {
+                            core.hooks.woken(id, msgr.as_ref(), parked_ns)
+                        }
+                        None => {}
                     }
                     (id, msgr)
                 }
@@ -878,200 +632,19 @@ fn daemon(
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         };
-        if !survive_run_boundary(shared, pe, &mut store, &mut local, &mut recorder) {
-            continue;
-        }
-        run_messenger(
-            pe,
-            pes,
-            id,
-            msgr,
-            &mut store,
-            &mut local,
-            &mut out,
-            shared,
-            &mut recorder,
-        );
-        // Run boundary: commit this run's store writes to the journal.
-        // Same-thread sequencing makes the commit atomic w.r.t. crashes
-        // of this PE (they only fire at run boundaries, above).
-        if let Some(rec) = &shared.recovery {
-            let mut r = rec.lock().unwrap();
-            r.journals[pe].commit_dirty(&mut store);
-            if let Some(m) = &shared.metrics {
-                m.journal_commits.inc();
-            }
-            if let Some(ds) = &shared.durable {
-                let mut sink = ds.lock().unwrap();
-                let spilled = spill_threads(
-                    &mut sink,
-                    &r,
-                    r.journals.len(),
-                    &shared.events,
-                    shared.metrics.as_deref(),
-                );
-                drop(sink);
-                drop(r);
-                if let Err(err) = spilled {
-                    shared.fail(err);
-                    break;
-                }
-            }
+        if let Err(err) = core.run(&mut sched, id, msgr) {
+            shared.fail(err);
         }
     }
-    let (events, dropped) = recorder.take();
-    (store, events, dropped)
-}
-
-/// Step one messenger until it leaves this PE (hop), parks (wait), or
-/// finishes.
-#[allow(clippy::too_many_arguments)]
-fn run_messenger(
-    pe: NodeId,
-    pes: usize,
-    id: u64,
-    mut msgr: Box<dyn Messenger>,
-    store: &mut NodeStore,
-    local: &mut VecDeque<(u64, Box<dyn Messenger>)>,
-    out: &mut StepOutputs,
-    shared: &Shared,
-    recorder: &mut PeRecorder,
-) {
-    // One Exec span per messenger *run* (delivery → hop/park/done);
-    // local hops and injections extend the same span.
-    let tracing = recorder.is_enabled();
-    let label = if tracing { msgr.label() } else { String::new() };
-    let exec_start = recorder.now_ns();
-    let pm = shared.metrics.as_ref().and_then(|m| m.pe(pe));
-    // Per-PE flight lane; purely observational (see `navp_obs`), so
-    // products stay bitwise-identical with the recorder on or off.
-    let flight_lane = navp_obs::flight().lane(&format!("pe{pe}"));
-    let end_exec = |recorder: &mut PeRecorder| {
-        if tracing {
-            let now = recorder.now_ns();
-            recorder.record(exec_start, now, id, &label, TraceKind::Exec { pe });
-        }
+    let (events, dropped) = core.hooks.recorder.take();
+    // One shared anchor: every daemon's clock already agrees.
+    let log = PeLog {
+        pe,
+        offset_ns: 0,
+        events,
+        dropped,
     };
-    loop {
-        out.clear();
-        let effect = {
-            let mut ctx = MsgrCtx::new(pe, pes, store, out);
-            msgr.step(&mut ctx)
-        };
-        shared.steps.fetch_add(1, Ordering::Relaxed);
-        shared.progress.fetch_add(1, Ordering::Relaxed);
-        if let Some(p) = pm {
-            p.steps.inc();
-        }
-
-        for inj in out.injections.drain(..) {
-            let inj_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-            // Local injection is a delivery point on this PE.
-            if let Some(rec) = &shared.recovery {
-                rec.lock().unwrap().ckpt.register(inj_id, pe, inj.as_ref());
-                shared.note_checkpoint(inj.as_ref());
-            }
-            if let Some(p) = pm {
-                p.injections.inc();
-            }
-            shared.live.fetch_add(1, Ordering::SeqCst);
-            local.push_back((inj_id, inj));
-        }
-        for key in out.signals.drain(..) {
-            if let Some(rec) = &shared.recovery {
-                let mut r = rec.lock().unwrap();
-                if r.tracker.on_signal(pe) {
-                    r.stats.signals_lost += 1;
-                    drop(r);
-                    if let Some(m) = &shared.metrics {
-                        m.faults.inc();
-                    }
-                    continue;
-                }
-            }
-            shared.signal(key);
-            if let Some(p) = pm {
-                p.signals.inc();
-            }
-            flight_lane.record(ObsKind::Signal, pe as u32, 0, id, 0);
-            recorder.instant(id, &label, TraceKind::Signal { pe });
-        }
-
-        match effect {
-            Effect::Hop(dst) if dst == pe => continue,
-            Effect::Hop(dst) => {
-                if dst >= pes {
-                    shared.fail(RunError::BadHop {
-                        agent: msgr.label(),
-                        dst,
-                        pes,
-                    });
-                    return;
-                }
-                shared.hops.fetch_add(1, Ordering::Relaxed);
-                let payload = msgr.payload_bytes();
-                let hop_bytes = payload + HOP_STATE_BYTES;
-                shared.hop_bytes.fetch_add(hop_bytes, Ordering::Relaxed);
-                if let Some(p) = pm {
-                    p.hops.inc();
-                    p.hop_bytes.add(hop_bytes);
-                }
-                if let Some(m) = &shared.metrics {
-                    m.hop_payload_bytes.observe(payload);
-                }
-                flight_lane.record(ObsKind::HopSend, pe as u32, 0, dst as u64, hop_bytes);
-                end_exec(recorder);
-                let meta = tracing.then(|| DeliveryMeta::Hop {
-                    from: pe,
-                    sent_ns: recorder.now_ns(),
-                    bytes: hop_bytes,
-                });
-                shared.send_agent(dst, id, msgr, true, meta);
-                return;
-            }
-            Effect::WaitEvent(key) => {
-                let mut ev = shared.events.lock().unwrap();
-                let st = ev.entry(key).or_default();
-                if st.count > 0 {
-                    st.count -= 1;
-                    drop(ev);
-                    continue;
-                }
-                end_exec(recorder);
-                // Stamp the park time whenever anyone will consume it:
-                // the tracer's Block span or the park-time metrics.
-                // Both read the same shared anchor clock.
-                let parked_ns = if tracing {
-                    recorder.now_ns()
-                } else if shared.metrics.is_some() {
-                    shared.anchor.elapsed().as_nanos() as u64
-                } else {
-                    0
-                };
-                if let Some(p) = pm {
-                    p.waits.inc();
-                }
-                st.waiters.push_back((id, msgr, pe, parked_ns));
-                drop(ev);
-                // Parked state lives in the event service, which
-                // survives daemon restarts: drop the checkpoint.
-                if let Some(rec) = &shared.recovery {
-                    rec.lock().unwrap().ckpt.remove(id);
-                }
-                return;
-            }
-            Effect::Done => {
-                end_exec(recorder);
-                if let Some(rec) = &shared.recovery {
-                    rec.lock().unwrap().ckpt.remove(id);
-                }
-                if shared.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    shared.shutdown_all();
-                }
-                return;
-            }
-        }
-    }
+    (sched.store, log)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use navp::{Cluster, FaultPlan, FaultStats, SimExecutor, ThreadExecutor};
 use navp_metrics::{MetricsSnapshot, RunMetrics};
-use navp_mm::runner::NetOpts;
+use navp_mm::runner::{thread_executor_for, warn_trace_dropped, NetOpts};
 use navp_net::{restore_from_dir, NetExecutor, NetPeStats, RegistryCodec};
 use navp_sim::{CostModel, Trace};
 use navp_trace::TraceReport;
@@ -191,65 +191,15 @@ fn durable_codec() -> Arc<dyn navp::durable::DurableCodec> {
     Arc::new(RegistryCodec::new())
 }
 
-/// The thread executor a config asks for: explicit `cfg.watchdog`, else
-/// `NAVP_WATCHDOG_MS`, else the executor's built-in default.
+/// The thread executor a config asks for (see
+/// [`navp_mm::runner::thread_executor_for`]).
 fn thread_executor(cfg: &KvConfig) -> ThreadExecutor {
-    let exec = ThreadExecutor::new().with_trace(cfg.trace);
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
+    thread_executor_for(cfg.trace, cfg.watchdog)
 }
 
-/// The networked executor a config asks for, with the same watchdog
-/// resolution as [`thread_executor`].
+/// The networked executor a config asks for (see [`NetOpts::executor`]).
 fn net_executor(cfg: &KvConfig, opts: &NetOpts) -> NetExecutor {
-    let mut exec = NetExecutor::new()
-        .with_trace(cfg.trace)
-        .with_metrics(cfg.metrics);
-    if let Some(bin) = &opts.pe_bin {
-        exec = exec.with_pe_bin(bin.clone());
-    }
-    if !opts.join.is_empty() {
-        exec = exec.join_addrs(opts.join.clone());
-    }
-    if let Some(grace) = opts.grace {
-        exec = exec.with_grace(grace);
-    }
-    if let Some(dir) = &opts.durable_dir {
-        exec = exec.with_durable_dir(dir.clone());
-    }
-    if opts.run_id != 0 {
-        exec = exec.with_run_id(opts.run_id);
-    }
-    if let Some(deadline) = opts.deadline {
-        exec = exec.with_deadline(deadline);
-    }
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
-}
-
-fn warn_trace_dropped(dropped: u64) {
-    if dropped > 0 {
-        eprintln!(
-            "warning: trace buffer overflowed — {dropped} events dropped; \
-             the trace and its report are partial"
-        );
-    }
+    opts.executor(cfg.trace, cfg.metrics, cfg.watchdog)
 }
 
 /// Run a kv step under the virtual cost model.
@@ -290,7 +240,9 @@ fn run_kv_sim_inner(
     if with_trace {
         exec = exec.with_trace();
     }
-    let met = cfg.metrics.then(|| RunMetrics::new(stage.effective_pes(pes)));
+    let met = cfg
+        .metrics
+        .then(|| RunMetrics::new(stage.effective_pes(pes)));
     if let Some(m) = &met {
         exec = exec.with_metrics(Arc::clone(m));
     }
@@ -350,7 +302,9 @@ fn run_kv_threads_inner(
     if let Some(plan) = plan {
         cl.set_fault_plan(plan);
     }
-    let met = cfg.metrics.then(|| RunMetrics::new(stage.effective_pes(pes)));
+    let met = cfg
+        .metrics
+        .then(|| RunMetrics::new(stage.effective_pes(pes)));
     let mut exec = thread_executor(cfg);
     if let Some(m) = &met {
         exec = exec.with_metrics(Arc::clone(m));

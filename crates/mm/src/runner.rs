@@ -263,21 +263,33 @@ fn navp_cluster(
     }
 }
 
+/// The watchdog a run asks for: an explicit value wins, else the
+/// `NAVP_WATCHDOG_MS` environment variable, else `None` (the executor's
+/// built-in default). Shared by every wall-clock runner (mm and kv).
+pub fn resolve_watchdog(explicit: Option<Duration>) -> Option<Duration> {
+    explicit.or_else(|| {
+        std::env::var("NAVP_WATCHDOG_MS")
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .map(Duration::from_millis)
+    })
+}
+
+/// A thread executor with the runners' watchdog resolution
+/// ([`resolve_watchdog`]).
+pub fn thread_executor_for(trace: bool, watchdog: Option<Duration>) -> ThreadExecutor {
+    let exec = ThreadExecutor::new().with_trace(trace);
+    match resolve_watchdog(watchdog) {
+        Some(wd) => exec.with_watchdog(wd),
+        None => exec,
+    }
+}
+
 /// The thread executor a config asks for: an explicit
 /// `cfg.watchdog` wins, else the `NAVP_WATCHDOG_MS` environment
 /// variable, else the executor's built-in 10 s default.
 fn thread_executor(cfg: &MmConfig) -> ThreadExecutor {
-    let exec = ThreadExecutor::new().with_trace(cfg.trace);
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
+    thread_executor_for(cfg.trace, cfg.watchdog)
 }
 
 /// Run the sequential baseline under the cost model (one virtual PE, so
@@ -469,7 +481,7 @@ fn run_navp_threads_with(
 /// so: warn on stderr whenever a wall-clock run overflowed its ring.
 /// (The dropped count also lands in the [`TraceReport`] summary line
 /// and the `navp_trace_dropped_events_total` counter.)
-fn warn_trace_dropped(dropped: u64) {
+pub fn warn_trace_dropped(dropped: u64) {
     if dropped > 0 {
         eprintln!(
             "warning: trace buffer overflowed — {dropped} events dropped; \
@@ -510,6 +522,34 @@ pub struct NetOpts {
 }
 
 impl NetOpts {
+    /// The networked executor these options describe, with the same
+    /// watchdog resolution as the thread runners ([`resolve_watchdog`]).
+    pub fn executor(&self, trace: bool, metrics: bool, watchdog: Option<Duration>) -> NetExecutor {
+        let mut exec = NetExecutor::new().with_trace(trace).with_metrics(metrics);
+        if let Some(bin) = &self.pe_bin {
+            exec = exec.with_pe_bin(bin.clone());
+        }
+        if !self.join.is_empty() {
+            exec = exec.join_addrs(self.join.clone());
+        }
+        if let Some(grace) = self.grace {
+            exec = exec.with_grace(grace);
+        }
+        if let Some(dir) = &self.durable_dir {
+            exec = exec.with_durable_dir(dir.clone());
+        }
+        if self.run_id != 0 {
+            exec = exec.with_run_id(self.run_id);
+        }
+        if let Some(deadline) = self.deadline {
+            exec = exec.with_deadline(deadline);
+        }
+        match resolve_watchdog(watchdog) {
+            Some(wd) => exec.with_watchdog(wd),
+            None => exec,
+        }
+    }
+
     /// Builder-style [`NetOpts::durable_dir`].
     pub fn with_durable_dir(mut self, dir: impl Into<PathBuf>) -> NetOpts {
         self.durable_dir = Some(dir.into());
@@ -529,41 +569,9 @@ impl NetOpts {
     }
 }
 
-/// The networked executor a config asks for, with the same watchdog
-/// resolution as [`run_navp_threads`]: explicit `cfg.watchdog`, else
-/// `NAVP_WATCHDOG_MS`, else the executor default.
+/// The networked executor a config asks for (see [`NetOpts::executor`]).
 fn net_executor(cfg: &MmConfig, opts: &NetOpts) -> NetExecutor {
-    let mut exec = NetExecutor::new()
-        .with_trace(cfg.trace)
-        .with_metrics(cfg.metrics);
-    if let Some(bin) = &opts.pe_bin {
-        exec = exec.with_pe_bin(bin.clone());
-    }
-    if !opts.join.is_empty() {
-        exec = exec.join_addrs(opts.join.clone());
-    }
-    if let Some(grace) = opts.grace {
-        exec = exec.with_grace(grace);
-    }
-    if let Some(dir) = &opts.durable_dir {
-        exec = exec.with_durable_dir(dir.clone());
-    }
-    if opts.run_id != 0 {
-        exec = exec.with_run_id(opts.run_id);
-    }
-    if let Some(deadline) = opts.deadline {
-        exec = exec.with_deadline(deadline);
-    }
-    if let Some(wd) = cfg.watchdog {
-        return exec.with_watchdog(wd);
-    }
-    if let Some(ms) = std::env::var("NAVP_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-    {
-        return exec.with_watchdog(Duration::from_millis(ms));
-    }
-    exec
+    opts.executor(cfg.trace, cfg.metrics, cfg.watchdog)
 }
 
 /// Run a NavP stage across real OS processes over TCP (wall-clock).

@@ -40,6 +40,25 @@ pub struct NetPeStats {
     pub faults: FaultStats,
 }
 
+impl NetPeStats {
+    /// Fold a `Delta` frame's counters in (other frames are ignored).
+    fn absorb(&mut self, frame: &Frame) {
+        if let Frame::Delta {
+            steps,
+            hops,
+            hop_payload,
+            wire_bytes,
+            ..
+        } = frame
+        {
+            self.steps += steps;
+            self.hops += hops;
+            self.hop_payload_bytes += hop_payload;
+            self.wire_bytes += wire_bytes;
+        }
+    }
+}
+
 /// What a networked run produced.
 ///
 /// `Debug` summarizes the counters; the stores themselves are
@@ -94,10 +113,7 @@ impl std::fmt::Debug for NetReport {
             .field("faults", &self.faults)
             .field("trace", &self.trace.as_ref().map(|t| t.events().len()))
             .field("trace_dropped", &self.trace_dropped)
-            .field(
-                "metrics",
-                &self.metrics.as_ref().map(|m| m.samples.len()),
-            )
+            .field("metrics", &self.metrics.as_ref().map(|m| m.samples.len()))
             .finish()
     }
 }
@@ -282,22 +298,11 @@ impl NetExecutor {
             events[event_home(key, pes)].push(*key);
         }
 
-        // A cluster without an explicit plan accepts one from the
-        // `NAVP_FAULT_SPEC` environment (repro files paste in verbatim);
-        // a malformed spec is a loud error, not a silently clean run.
-        let fault_plan = match parts.fault_plan {
-            Some(p) => Some(p),
-            None => {
-                navp::FaultPlan::from_env().map_err(|detail| RunError::Transport { detail })?
-            }
-        };
         // Durable runs need the recovery machinery on every PE even
         // without faults, and a fresh session manifest on disk before
         // any process can spill against it.
-        let fault_plan = match fault_plan {
-            None if self.durable_dir.is_some() => Some(navp::FaultPlan::new()),
-            other => other,
-        };
+        let fault_plan =
+            navp::daemon::resolve_fault_plan(parts.fault_plan, self.durable_dir.is_some())?;
         if let Some(dir) = &self.durable_dir {
             navp::durable::write_manifest(
                 &navp::durable::run_dir(dir, self.run_id),
@@ -306,9 +311,7 @@ impl NetExecutor {
                     nonce: navp::durable::fresh_nonce(),
                 },
             )
-            .map_err(|e| RunError::Transport {
-                detail: format!("durable manifest: {e}"),
-            })?;
+            .map_err(|e| RunError::transport(format!("durable manifest: {e}")))?;
         }
 
         let start = Instant::now();
@@ -373,15 +376,11 @@ impl NetExecutor {
         let mut children = Vec::new();
         let mut streams = Vec::with_capacity(pes);
         if self.join.is_empty() {
-            let listener =
-                TcpListener::bind("127.0.0.1:0").map_err(|e| RunError::Transport {
-                    detail: format!("driver bind: {e}"),
-                })?;
+            let listener = TcpListener::bind("127.0.0.1:0")
+                .map_err(|e| RunError::transport(format!("driver bind: {e}")))?;
             let addr = listener
                 .local_addr()
-                .map_err(|e| RunError::Transport {
-                    detail: format!("driver addr: {e}"),
-                })?
+                .map_err(|e| RunError::transport(format!("driver addr: {e}")))?
                 .to_string();
             let bin = resolve_pe_bin(self.pe_bin.as_deref())?;
             for _ in 0..pes {
@@ -389,16 +388,13 @@ impl NetExecutor {
             }
             listener
                 .set_nonblocking(true)
-                .map_err(|e| RunError::Transport {
-                    detail: format!("driver listener: {e}"),
-                })?;
+                .map_err(|e| RunError::transport(format!("driver listener: {e}")))?;
             let deadline = Instant::now() + self.handshake_window();
             while streams.len() < pes {
                 match listener.accept() {
                     Ok((s, _)) => {
-                        s.set_nonblocking(false).map_err(|e| RunError::Transport {
-                            detail: format!("control stream: {e}"),
-                        })?;
+                        s.set_nonblocking(false)
+                            .map_err(|e| RunError::transport(format!("control stream: {e}")))?;
                         streams.push(s);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -408,36 +404,29 @@ impl NetExecutor {
                         }
                         if Instant::now() >= deadline {
                             Self::cleanup(&mut children);
-                            return Err(RunError::Transport {
-                                detail: format!(
-                                    "only {}/{pes} PE processes connected back",
-                                    streams.len()
-                                ),
-                            });
+                            return Err(RunError::transport(format!(
+                                "only {}/{pes} PE processes connected back",
+                                streams.len()
+                            )));
                         }
                         std::thread::sleep(Duration::from_millis(5));
                     }
                     Err(e) => {
                         Self::cleanup(&mut children);
-                        return Err(RunError::Transport {
-                            detail: format!("driver accept: {e}"),
-                        });
+                        return Err(RunError::transport(format!("driver accept: {e}")));
                     }
                 }
             }
         } else {
             if self.join.len() != pes {
-                return Err(RunError::Transport {
-                    detail: format!(
-                        "--join names {} PEs but the cluster has {pes}",
-                        self.join.len()
-                    ),
-                });
+                return Err(RunError::transport(format!(
+                    "--join names {} PEs but the cluster has {pes}",
+                    self.join.len()
+                )));
             }
             for addr in &self.join {
-                let s = std::net::TcpStream::connect(addr).map_err(|e| RunError::Transport {
-                    detail: format!("join {addr}: {e}"),
-                })?;
+                let s = std::net::TcpStream::connect(addr)
+                    .map_err(|e| RunError::transport(format!("join {addr}: {e}")))?;
                 streams.push(s);
             }
         }
@@ -454,8 +443,8 @@ impl NetExecutor {
                     Box::new(move |r| tx.send(DriverMsg::FromPe(pe, r)).is_ok()),
                     None,
                 )
-                .map_err(|e| RunError::Transport {
-                    detail: format!("register control stream for PE {pe}: {e}"),
+                .map_err(|e| {
+                    RunError::transport(format!("register control stream for PE {pe}: {e}"))
                 })?;
             conns.push(handle);
         }
@@ -549,9 +538,10 @@ impl NetExecutor {
         plan: Option<navp::FaultPlan>,
         initial_live: u64,
     ) -> Result<DriveOutcome, RunError> {
-        let transport = |detail: String| RunError::Transport { detail };
         let handshake_deadline = Instant::now() + self.handshake_window();
         let run_deadline = self.deadline.map(|d| Instant::now() + d);
+        let mut per_pe = vec![NetPeStats::default(); pes];
+        let mut totals = NetPeStats::default();
 
         // Assign identities, gather listen addresses, broadcast the
         // address map, wait for the mesh barrier.
@@ -561,20 +551,35 @@ impl NetExecutor {
                 pes: pes as u32,
                 run: self.run_id,
             })
-            .map_err(|e| transport(format!("send Assign to PE {pe}: {e}")))?;
+            .map_err(|e| RunError::transport(format!("send Assign to PE {pe}: {e}")))?;
         }
         let mut listens: Vec<Option<String>> = vec![None; pes];
         let mut got = 0;
         while got < pes {
-            match Self::next_handshake(links, handshake_deadline, self.grace)? {
-                (pe, Frame::Hello { pe: echoed, pid, listen }) if echoed as usize == pe => {
+            match self.next_frame(
+                links,
+                &mut per_pe,
+                &mut totals,
+                handshake_deadline,
+                "handshake",
+            )? {
+                (
+                    pe,
+                    Frame::Hello {
+                        pe: echoed,
+                        pid,
+                        listen,
+                    },
+                ) if echoed as usize == pe => {
                     links.pe_child[pe] = links.children.iter().position(|c| c.id() == pid);
                     if listens[pe].replace(listen).is_none() {
                         got += 1;
                     }
                 }
                 (pe, other) => {
-                    return Err(transport(format!("PE {pe}: expected Hello, got {other:?}")))
+                    return Err(RunError::transport(format!(
+                        "PE {pe}: expected Hello, got {other:?}"
+                    )))
                 }
             }
         }
@@ -583,19 +588,25 @@ impl NetExecutor {
             conn.send(&Frame::Bootstrap {
                 peers: peers.clone(),
             })
-            .map_err(|e| transport(format!("send Bootstrap to PE {pe}: {e}")))?;
+            .map_err(|e| RunError::transport(format!("send Bootstrap to PE {pe}: {e}")))?;
         }
         let mut ready = vec![false; pes];
         let mut got = 0;
         while got < pes {
-            match Self::next_handshake(links, handshake_deadline, self.grace)? {
+            match self.next_frame(
+                links,
+                &mut per_pe,
+                &mut totals,
+                handshake_deadline,
+                "handshake",
+            )? {
                 (pe, Frame::MeshReady { .. }) => {
                     if !std::mem::replace(&mut ready[pe], true) {
                         got += 1;
                     }
                 }
                 (pe, other) => {
-                    return Err(transport(format!(
+                    return Err(RunError::transport(format!(
                         "PE {pe}: expected MeshReady, got {other:?}"
                     )))
                 }
@@ -617,7 +628,7 @@ impl NetExecutor {
                     trace: self.trace,
                     metrics: self.metrics,
                 })
-                .map_err(|e| transport(format!("send Start to PE {pe}: {e}")))?;
+                .map_err(|e| RunError::transport(format!("send Start to PE {pe}: {e}")))?;
         }
 
         // Tally progress until every messenger has finished. The delta
@@ -628,8 +639,6 @@ impl NetExecutor {
         // counters with no messenger live and no peer frame in flight
         // (Mattern's four-counter principle).
         let mut live = initial_live as i64;
-        let mut per_pe = vec![NetPeStats::default(); pes];
-        let mut totals = NetPeStats::default();
         let tick = self.watchdog.min(Duration::from_millis(100));
         let mut last_progress = Instant::now();
         let mut probe_round: u64 = 0;
@@ -652,32 +661,21 @@ impl NetExecutor {
                 acks_got = 0;
                 for (pe, conn) in links.conns.iter().enumerate() {
                     conn.send(&Frame::Probe { round: probe_round })
-                        .map_err(|e| transport(format!("send Probe to PE {pe}: {e}")))?;
+                        .map_err(|e| RunError::transport(format!("send Probe to PE {pe}: {e}")))?;
                 }
             }
             match links.rx.recv_timeout(tick) {
                 Ok(DriverMsg::FromPe(pe, Ok(frame))) => {
                     match frame {
                         Frame::Delta {
-                            spawned,
-                            finished,
-                            steps,
-                            hops,
-                            hop_payload,
-                            wire_bytes,
+                            spawned, finished, ..
                         } => {
                             // Even an all-zero delta is a heartbeat
                             // that feeds the watchdog.
                             last_progress = Instant::now();
                             live += spawned as i64 - finished as i64;
-                            per_pe[pe].steps += steps;
-                            per_pe[pe].hops += hops;
-                            per_pe[pe].hop_payload_bytes += hop_payload;
-                            per_pe[pe].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
+                            per_pe[pe].absorb(&frame);
+                            totals.absorb(&frame);
                         }
                         Frame::ProbeAck {
                             round,
@@ -717,7 +715,7 @@ impl NetExecutor {
                         }
                         Frame::Fatal { err } => return Err(err),
                         other => {
-                            return Err(transport(format!(
+                            return Err(RunError::transport(format!(
                                 "PE {pe}: unexpected frame {other:?} during run"
                             )))
                         }
@@ -734,7 +732,7 @@ impl NetExecutor {
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport("all control readers exited".into()))
+                    return Err(RunError::transport("all control readers exited"))
                 }
             }
         }
@@ -750,69 +748,32 @@ impl NetExecutor {
             let mut logs: Vec<PeLog> = Vec::with_capacity(pes);
             for pe in 0..pes {
                 let t0 = anchor.elapsed().as_nanos() as u64;
-                links.conns[pe]
-                    .send(&Frame::TraceCollect)
-                    .map_err(|e| transport(format!("send TraceCollect to PE {pe}: {e}")))?;
+                links.conns[pe].send(&Frame::TraceCollect).map_err(|e| {
+                    RunError::transport(format!("send TraceCollect to PE {pe}: {e}"))
+                })?;
                 let deadline = Instant::now() + self.handshake_window();
-                loop {
-                    match links.rx.recv_timeout(tick) {
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::TraceDump {
-                                pe_ns,
-                                dropped,
-                                events,
-                            }),
-                        )) if p == pe => {
-                            let t1 = anchor.elapsed().as_nanos() as u64;
-                            let offset_ns = ((t0 + t1) / 2) as i64 - pe_ns as i64;
-                            logs.push(PeLog {
-                                pe,
-                                offset_ns,
-                                events,
-                                dropped,
-                            });
-                            break;
-                        }
-                        // Late deltas can race the dump; absorb them.
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::Delta {
-                                steps,
-                                hops,
-                                hop_payload,
-                                wire_bytes,
-                                ..
-                            }),
-                        )) => {
-                            per_pe[p].steps += steps;
-                            per_pe[p].hops += hops;
-                            per_pe[p].hop_payload_bytes += hop_payload;
-                            per_pe[p].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
-                        }
-                        Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                        Ok(DriverMsg::FromPe(p, Ok(other))) => {
-                            return Err(transport(format!(
-                                "PE {p}: unexpected frame {other:?} during trace collect"
-                            )))
-                        }
-                        Ok(DriverMsg::FromPe(p, Err(e))) => {
-                            return Err(Self::disconnect_error(links, p, &e, self.grace))
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                return Err(transport(format!(
-                                    "PE {pe} returned no trace before timeout"
-                                )));
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(transport("all control readers exited".into()))
-                        }
+                match self.next_frame(links, &mut per_pe, &mut totals, deadline, "trace collect")? {
+                    (
+                        p,
+                        Frame::TraceDump {
+                            pe_ns,
+                            dropped,
+                            events,
+                        },
+                    ) if p == pe => {
+                        let t1 = anchor.elapsed().as_nanos() as u64;
+                        let offset_ns = ((t0 + t1) / 2) as i64 - pe_ns as i64;
+                        logs.push(PeLog {
+                            pe,
+                            offset_ns,
+                            events,
+                            dropped,
+                        });
+                    }
+                    (p, other) => {
+                        return Err(RunError::transport(format!(
+                            "PE {p}: unexpected frame {other:?} during trace collect"
+                        )))
                     }
                 }
             }
@@ -827,57 +788,24 @@ impl NetExecutor {
         let metrics = if self.metrics {
             let mut merged = MetricsSnapshot::default();
             for pe in 0..pes {
-                links.conns[pe]
-                    .send(&Frame::MetricsCollect)
-                    .map_err(|e| transport(format!("send MetricsCollect to PE {pe}: {e}")))?;
+                links.conns[pe].send(&Frame::MetricsCollect).map_err(|e| {
+                    RunError::transport(format!("send MetricsCollect to PE {pe}: {e}"))
+                })?;
                 let deadline = Instant::now() + self.handshake_window();
-                loop {
-                    match links.rx.recv_timeout(tick) {
-                        Ok(DriverMsg::FromPe(p, Ok(Frame::MetricsDump { samples })))
-                            if p == pe =>
-                        {
-                            merged.merge(&MetricsSnapshot { samples });
-                            break;
-                        }
-                        // Late deltas can race the dump; absorb them.
-                        Ok(DriverMsg::FromPe(
-                            p,
-                            Ok(Frame::Delta {
-                                steps,
-                                hops,
-                                hop_payload,
-                                wire_bytes,
-                                ..
-                            }),
-                        )) => {
-                            per_pe[p].steps += steps;
-                            per_pe[p].hops += hops;
-                            per_pe[p].hop_payload_bytes += hop_payload;
-                            per_pe[p].wire_bytes += wire_bytes;
-                            totals.steps += steps;
-                            totals.hops += hops;
-                            totals.hop_payload_bytes += hop_payload;
-                            totals.wire_bytes += wire_bytes;
-                        }
-                        Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                        Ok(DriverMsg::FromPe(p, Ok(other))) => {
-                            return Err(transport(format!(
-                                "PE {p}: unexpected frame {other:?} during metrics collect"
-                            )))
-                        }
-                        Ok(DriverMsg::FromPe(p, Err(e))) => {
-                            return Err(Self::disconnect_error(links, p, &e, self.grace))
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if Instant::now() >= deadline {
-                                return Err(transport(format!(
-                                    "PE {pe} returned no metrics before timeout"
-                                )));
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(transport("all control readers exited".into()))
-                        }
+                match self.next_frame(
+                    links,
+                    &mut per_pe,
+                    &mut totals,
+                    deadline,
+                    "metrics collect",
+                )? {
+                    (p, Frame::MetricsDump { samples }) if p == pe => {
+                        merged.merge(&MetricsSnapshot { samples })
+                    }
+                    (p, other) => {
+                        return Err(RunError::transport(format!(
+                            "PE {p}: unexpected frame {other:?} during metrics collect"
+                        )))
                     }
                 }
             }
@@ -889,17 +817,17 @@ impl NetExecutor {
         // Collect stores and fault counters.
         for (pe, conn) in links.conns.iter().enumerate() {
             conn.send(&Frame::Collect)
-                .map_err(|e| transport(format!("send Collect to PE {pe}: {e}")))?;
+                .map_err(|e| RunError::transport(format!("send Collect to PE {pe}: {e}")))?;
         }
         let mut stores: Vec<Option<NodeStore>> = (0..pes).map(|_| None).collect();
         let mut faults = FaultStats::default();
         let mut got = 0;
         let collect_deadline = Instant::now() + self.handshake_window();
         while got < pes {
-            match links.rx.recv_timeout(tick) {
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::StoreDump { store, stats }))) => {
+            match self.next_frame(links, &mut per_pe, &mut totals, collect_deadline, "collect")? {
+                (pe, Frame::StoreDump { store, stats }) => {
                     let decoded = decode_store(&store).map_err(|e| {
-                        transport(format!("PE {pe} returned an undecodable store: {e}"))
+                        RunError::transport(format!("PE {pe} returned an undecodable store: {e}"))
                     })?;
                     if stores[pe].replace(decoded).is_none() {
                         got += 1;
@@ -907,42 +835,10 @@ impl NetExecutor {
                     per_pe[pe].faults = stats;
                     faults.absorb(&stats);
                 }
-                // Late deltas can race Collect; they carry no live
-                // change at this point beyond bookkeeping.
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::Delta {
-                    steps,
-                    hops,
-                    hop_payload,
-                    wire_bytes,
-                    ..
-                }))) => {
-                    per_pe[pe].steps += steps;
-                    per_pe[pe].hops += hops;
-                    per_pe[pe].hop_payload_bytes += hop_payload;
-                    per_pe[pe].wire_bytes += wire_bytes;
-                    totals.steps += steps;
-                    totals.hops += hops;
-                    totals.hop_payload_bytes += hop_payload;
-                    totals.wire_bytes += wire_bytes;
-                }
-                Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
-                Ok(DriverMsg::FromPe(pe, Ok(other))) => {
-                    return Err(transport(format!(
+                (pe, other) => {
+                    return Err(RunError::transport(format!(
                         "PE {pe}: unexpected frame {other:?} during collect"
                     )))
-                }
-                Ok(DriverMsg::FromPe(pe, Err(e))) => {
-                    return Err(Self::disconnect_error(links, pe, &e, self.grace))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= collect_deadline {
-                        return Err(transport(format!(
-                            "only {got}/{pes} stores returned before timeout"
-                        )));
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(transport("all control readers exited".into()))
                 }
             }
         }
@@ -950,33 +846,35 @@ impl NetExecutor {
         Ok((stores, per_pe, faults, totals, traced, metrics))
     }
 
-    /// Next handshake-phase frame from any PE, honouring the deadline.
-    fn next_handshake(
+    /// The next frame from any PE outside the run loop (handshake and
+    /// collection): late deltas are folded into the counters on the
+    /// way; a `Fatal`, a lost connection or the deadline ends the run.
+    fn next_frame(
+        &self,
         links: &mut Links,
+        per_pe: &mut [NetPeStats],
+        totals: &mut NetPeStats,
         deadline: Instant,
-        grace: Duration,
+        phase: &str,
     ) -> Result<(usize, Frame), RunError> {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                return Err(RunError::Transport {
-                    detail: "handshake timed out".into(),
-                });
+                return Err(RunError::transport(format!("{phase} timed out")));
             }
             match links.rx.recv_timeout(left.min(Duration::from_millis(100))) {
-                Ok(DriverMsg::FromPe(pe, Ok(Frame::Fatal { err }))) => {
-                    let _ = pe;
-                    return Err(err);
+                Ok(DriverMsg::FromPe(pe, Ok(frame @ Frame::Delta { .. }))) => {
+                    per_pe[pe].absorb(&frame);
+                    totals.absorb(&frame);
                 }
+                Ok(DriverMsg::FromPe(_, Ok(Frame::Fatal { err }))) => return Err(err),
                 Ok(DriverMsg::FromPe(pe, Ok(frame))) => return Ok((pe, frame)),
                 Ok(DriverMsg::FromPe(pe, Err(e))) => {
-                    return Err(Self::disconnect_error(links, pe, &e, grace))
+                    return Err(Self::disconnect_error(links, pe, &e, self.grace))
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(RunError::Transport {
-                        detail: "all control readers exited".into(),
-                    })
+                    return Err(RunError::transport("all control readers exited"))
                 }
             }
         }

@@ -1,12 +1,13 @@
 //! The PE daemon: one OS process hosting one PE's `NodeStore` slice,
 //! event table, and runnable queue.
 //!
-//! Mirrors the per-PE daemon of `navp::thread_exec`, with channels
-//! replaced by TCP frames. The daemon is single-threaded (reader
-//! threads only feed an in-process channel), so delivery, fault
-//! injection, and crash recovery all serialize on the main loop — the
-//! epoch stamps the thread executor needs to guard racy re-deliveries
-//! degenerate here and are omitted (see DESIGN.md §9).
+//! A scheduler over the shared per-PE core (`navp::daemon`), like the
+//! thread executor's daemons, with channels replaced by TCP frames. The
+//! daemon is single-threaded (reader threads only feed an in-process
+//! channel), so delivery, fault injection, and crash recovery all
+//! serialize on the main loop — the epoch stamps the thread executor
+//! needs to guard racy re-deliveries degenerate here and are unused
+//! (see DESIGN.md §9).
 //!
 //! Fault mapping on a real socket:
 //! * **delay** — the arriving `Hop` frame is held for the configured
@@ -22,22 +23,19 @@
 
 use crate::cluster::{event_home, read_frame, FrameConn};
 use crate::durable::{register_durable, RegistryCodec};
-use crate::frame::{Frame, StoreEntry};
+use crate::frame::Frame;
 use crate::netloop::{IoHandle, IoLoop};
 use crate::registry::{decode_messenger, decode_store, encode_messenger, encode_store};
-use navp::durable::{self as core_durable, OutFrame, ParkedWaiter};
-use navp::fault::{FaultTracker, HopFault};
-use navp::recovery::{CheckpointTable, WriteJournal};
-use navp::sim_exec::HOP_STATE_BYTES;
-use navp::{
-    Effect, EventKey, FaultPlan, FaultStats, Messenger, MsgrCtx, NodeStore, RunError,
-    StepOutputs, WireSnapshot,
+use navp::daemon::{
+    EventTable, PeCore, PeHooks, PeSched, Recovery, Restart, RunSpan, HOP_STATE_BYTES,
 };
+use navp::durable::{self as core_durable, OutFrame, ParkedWaiter};
+use navp::{EventKey, FaultPlan, Messenger, NodeStore, RunError, StepOutputs, WireSnapshot};
 use navp_metrics::{serve_http_with, Counter, MetricsRegistry, RunMetrics};
-use navp_obs::{flight, EventKind as ObsKind, Lane as ObsLane};
+use navp_obs::{flight, EventKind as ObsKind};
 use navp_trace::recorder::DEFAULT_CAPACITY;
-use navp_trace::{PeRecorder, TraceKind};
-use std::collections::{HashMap, HashSet, VecDeque};
+use navp_trace::PeRecorder;
+use std::collections::{HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,12 +52,6 @@ pub const CRASH_EXIT: i32 = 113;
 /// driver. Distinct from [`CRASH_EXIT`] and from abrupt deaths so the
 /// driver (and operators) can tell a rolling restart from a failure.
 pub const GRACEFUL_EXIT: i32 = 114;
-
-/// Flight-recorder `FaultInjected` site codes (the event's `a`
-/// operand): which fault mechanism fired.
-const FAULT_SITE_DELAY: u64 = 1;
-const FAULT_SITE_DROP: u64 = 2;
-const FAULT_SITE_CRASH: u64 = 3;
 
 /// Set by the SIGTERM/SIGINT handler; polled by the daemon's event
 /// loop between atomic units (runs / frame handlings).
@@ -255,66 +247,40 @@ struct NetDurable {
     pending: Vec<(usize, Frame)>,
 }
 
-#[derive(Default)]
-struct EvState {
-    count: u64,
-    /// Parked waiters: `(id, origin PE, snapshot, parked_ns)` — the
-    /// park timestamp is on the *origin's* trace clock (0 untraced)
-    /// and is echoed back in `Deliver` so the origin records the
-    /// event-wait span against its own clock.
-    waiters: VecDeque<(u64, u32, WireSnapshot, u64)>,
-}
+/// A waiter parked in this PE's event table: `(id, origin PE,
+/// snapshot, parked_ns)` — the park timestamp is on the *origin's*
+/// trace clock (0 untraced) and is echoed back in `Deliver` so the
+/// origin records the event-wait span against its own clock.
+type NetWaiter = (u64, u32, WireSnapshot, u64);
 
+/// One PE process's scheduler over the shared core ([`PeCore`]):
+/// departures become frames, event keys live on their home PE, and
+/// the run queue is fed by frames from the I/O loop.
 struct Daemon {
     pe: usize,
     pes: usize,
-    /// Run-id namespace of this session (= job id through navp-serve;
-    /// 0 anonymous). Stamped into flight-recorder events.
-    run: u64,
-    /// This PE's always-on flight-recorder lane (`pe<k>`). Unlike the
-    /// span recorder below it is never off unless `NAVP_FLIGHT=0`.
-    flight: Arc<ObsLane>,
     store: NodeStore,
-    /// Clone of the store as received in `Start` (crash rebuild base);
-    /// `Some` iff recovery is active — checkpointing fault plan *or*
-    /// durable mode (the spilled cut is exactly this machinery).
-    initial_store: Option<NodeStore>,
-    /// Does a crash fault restart the daemon in place (plan has
-    /// checkpointing) rather than exit the process? Durable mode keeps
-    /// the recovery machinery alive without changing crash semantics.
-    crash_restarts: bool,
+    /// Fault and recovery machinery, `Some` iff the driver sent a
+    /// fault plan or `--durable-dir` is active (the spilled cut is
+    /// exactly this machinery).
+    rec: Option<Recovery>,
     /// Durable-spill state, `Some` iff `--durable-dir` was given.
     durable: Option<NetDurable>,
-    journal: WriteJournal,
-    ckpt: CheckpointTable,
-    events: HashMap<EventKey, EvState>,
+    /// Events whose home is this PE.
+    events: EventTable<NetWaiter>,
     queue: VecDeque<(u64, Box<dyn Messenger>)>,
-    tracker: Option<FaultTracker>,
-    stats: FaultStats,
     next_inject: u64,
     initial_live: u64,
     peers: Vec<Option<IoHandle>>,
     driver: IoHandle,
-    /// Wall-clock span recorder, enabled iff `Start.trace`. Anchored
-    /// at session start; the driver measures this clock's offset when
-    /// it collects the buffer (`TraceCollect`/`TraceDump`).
-    recorder: PeRecorder,
     /// The shared run metric set, `Some` iff `Start.metrics` or the
-    /// process was given `--metrics-addr`. Only this PE's slot of the
-    /// per-PE vector is ever touched.
+    /// process was given `--metrics-addr` (transport counters and
+    /// `MetricsCollect`; event sites go through the core's hooks).
     metrics: Option<Arc<RunMetrics>>,
-    /// Park-time clock for metered-but-untraced runs (the recorder's
-    /// clock reads 0 when tracing is off).
-    anchor: Instant,
     /// `/healthz` state, `Some` iff `--metrics-addr` was given.
     health: Option<Arc<Health>>,
-    // Un-flushed accounting increments (next `Delta`).
-    d_spawned: u64,
-    d_finished: u64,
-    d_steps: u64,
-    d_hops: u64,
-    d_hop_payload: u64,
-    d_wire: u64,
+    /// Un-flushed accounting increments (the next `Delta` frame).
+    d: Delta,
     // Lifetime counters for the driver's termination probes.
     t_spawned: u64,
     t_finished: u64,
@@ -322,44 +288,144 @@ struct Daemon {
     t_peer_recv: u64,
 }
 
-impl Daemon {
-    fn recovery_active(&self) -> bool {
-        self.initial_store.is_some()
+/// Accounting increments a PE reports to the driver in `Delta` frames.
+#[derive(Default, PartialEq)]
+struct Delta {
+    spawned: u64,
+    finished: u64,
+    steps: u64,
+    hops: u64,
+    hop_payload: u64,
+    wire: u64,
+}
+
+impl Delta {
+    fn frame(&self) -> Frame {
+        Frame::Delta {
+            spawned: self.spawned,
+            finished: self.finished,
+            steps: self.steps,
+            hops: self.hops,
+            hop_payload: self.hop_payload,
+            wire_bytes: self.wire,
+        }
+    }
+}
+
+impl PeSched for Daemon {
+    fn store(&mut self) -> &mut NodeStore {
+        &mut self.store
     }
 
-    /// Park-time clock: the recorder's when tracing (so trace spans and
-    /// metrics agree), a process anchor when only metered, 0 otherwise.
-    fn clock_ns(&self) -> u64 {
-        if self.recorder.is_enabled() {
-            self.recorder.now_ns()
-        } else if self.metrics.is_some() {
-            self.anchor.elapsed().as_nanos() as u64
+    fn recovery<T>(&mut self, f: impl FnOnce(&mut Recovery, &mut NodeStore) -> T) -> Option<T> {
+        let store = &mut self.store;
+        self.rec.as_mut().map(|r| f(r, store))
+    }
+
+    fn stepped(&mut self, _msgr: &dyn Messenger, _out: &StepOutputs) {
+        self.d.steps += 1;
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.initial_live + self.pe as u64 + self.pes as u64 * self.next_inject;
+        self.next_inject += 1;
+        self.d.spawned += 1;
+        self.t_spawned += 1;
+        id
+    }
+
+    fn inject(&mut self, id: u64, msgr: Box<dyn Messenger>) {
+        self.queue.push_back((id, msgr));
+    }
+
+    fn signal(&mut self, hooks: &mut PeHooks, key: EventKey) -> Result<(), RunError> {
+        let home = event_home(&key, self.pes);
+        if home == self.pe {
+            self.local_signal(hooks, key)
         } else {
-            0
+            self.queue_send(home, Frame::EventSignal { key })
         }
     }
 
-    /// Observe a completed event park (wake time minus `parked_ns`).
-    fn note_unpark(&self, parked_ns: u64) {
-        if parked_ns == 0 {
-            return;
+    fn wait(
+        &mut self,
+        hooks: &mut PeHooks,
+        run: &RunSpan,
+        msgr: Box<dyn Messenger>,
+        key: EventKey,
+    ) -> Result<Option<Box<dyn Messenger>>, RunError> {
+        let home = event_home(&key, self.pes);
+        if home == self.pe && self.events.take(key) {
+            return Ok(Some(msgr));
         }
-        if let Some(met) = &self.metrics {
-            let dur = self.clock_ns().saturating_sub(parked_ns);
-            if let Some(p) = met.pe(self.pe) {
-                p.park_ns.add(dur);
-            }
-            met.park_wait_ns.observe(dur);
+        let snap = encode_messenger(msgr.as_ref())?;
+        let parked_ns = hooks.park(run);
+        if home == self.pe {
+            self.events
+                .park(key, (run.id, self.pe as u32, snap, parked_ns));
+            Ok(None)
+        } else {
+            let frame = Frame::EventWait {
+                key,
+                id: run.id,
+                origin: self.pe as u32,
+                parked_ns,
+                msgr: snap,
+            };
+            self.queue_send(home, frame).map(|()| None)
         }
     }
 
+    fn hop(
+        &mut self,
+        _hooks: &mut PeHooks,
+        id: u64,
+        msgr: Box<dyn Messenger>,
+        dst: usize,
+        payload: u64,
+        sent_ns: u64,
+    ) -> Result<(), RunError> {
+        let snap = encode_messenger(msgr.as_ref())?;
+        self.d.hops += 1;
+        self.d.hop_payload += payload;
+        self.queue_send(
+            dst,
+            Frame::Hop {
+                id,
+                sent_ns,
+                msgr: snap,
+            },
+        )?;
+        // In flight, the messenger belongs to the destination's failure
+        // domain — which is another process entirely; the hop policy
+        // runs there, on arrival.
+        if let Some(r) = &mut self.rec {
+            r.forget(id);
+        }
+        Ok(())
+    }
+
+    fn done(&mut self) {
+        self.d.finished += 1;
+        self.t_finished += 1;
+    }
+
+    fn restarted(&mut self, restart: Restart) {
+        // The run queue was lost with the daemon; rebuilt from checkpoints.
+        self.queue.clear();
+        self.queue.extend(restart.redeliver);
+    }
+}
+
+impl Daemon {
     fn peer(&self, dst: usize) -> Result<&IoHandle, RunError> {
         self.peers
             .get(dst)
             .and_then(|p| p.as_ref())
-            .ok_or(RunError::Transport {
-                detail: format!("PE {} has no connection to PE {dst}", self.pe),
-            })
+            .ok_or(RunError::transport(format!(
+                "PE {} has no connection to PE {dst}",
+                self.pe
+            )))
     }
 
     fn send_peer(&mut self, dst: usize, frame: &Frame) -> Result<(), RunError> {
@@ -370,7 +436,7 @@ impl Daemon {
                 pe: dst,
                 detail: format!("send from PE {} failed: {e}", self.pe),
             })?;
-        self.d_wire += n;
+        self.d.wire += n;
         self.t_peer_sent += 1;
         if let Some(met) = &self.metrics {
             met.frame_encode_bytes.add(n);
@@ -396,84 +462,40 @@ impl Daemon {
     /// store + checkpoints + event table + channel counters + outbox)
     /// atomically to `pe-<k>.ckpt`, then transmit. No-op when
     /// durability is off.
-    fn durable_commit(&mut self) -> Result<(), RunError> {
-        if self.durable.is_none() {
+    fn durable_commit(&mut self, hooks: &PeHooks) -> Result<(), RunError> {
+        let (Some(ds), Some(rec)) = (&mut self.durable, &self.rec) else {
             return Ok(());
+        };
+        let pe = self.pe;
+        let durable_err = |e: core_durable::DurableError| {
+            RunError::transport(format!("PE {pe} durable spill: {e}"))
+        };
+        let pending = std::mem::take(&mut ds.pending);
+        for (dst, frame) in &pending {
+            ds.sent_to[*dst] += 1;
+            ds.outbox.push(OutFrame {
+                dst: *dst as u32,
+                seq: ds.sent_to[*dst],
+                bytes: frame.encode(),
+            });
         }
-        let durable_err = |pe: usize, e: core_durable::DurableError| RunError::Transport {
-            detail: format!("PE {pe} durable spill: {e}"),
-        };
-        let pending = {
-            let ds = self.durable.as_mut().expect("durable checked above");
-            let pending = std::mem::take(&mut ds.pending);
-            for (dst, frame) in &pending {
-                ds.sent_to[*dst] += 1;
-                ds.outbox.push(OutFrame {
-                    dst: *dst as u32,
-                    seq: ds.sent_to[*dst],
-                    bytes: frame.encode(),
-                });
-            }
-            ds.boundary += 1;
-            pending
-        };
-        let initial = self.initial_store.as_ref().ok_or_else(|| RunError::Transport {
-            detail: format!(
-                "PE {} has --durable-dir but no recovery machinery \
-                 (driver sent no checkpointing fault plan)",
-                self.pe
-            ),
+        ds.boundary += 1;
+        let section = self.events.durable_section(|key, (id, origin, snap, _)| {
+            Ok(ParkedWaiter {
+                id: *id,
+                origin: *origin,
+                key,
+                snap: snap.clone(),
+            })
         })?;
-        let committed = core_durable::committed_store(initial, &self.journal);
-        // Event table in deterministic (sorted-key) order; waiters keep
-        // their FIFO park order within a key.
-        let mut keys: Vec<EventKey> = self.events.keys().copied().collect();
-        keys.sort();
-        let mut waiters = Vec::new();
-        let mut counts = Vec::new();
-        for key in keys {
-            let st = &self.events[&key];
-            if st.count > 0 {
-                counts.push((key, st.count));
-            }
-            for (id, origin, snap, _) in &st.waiters {
-                waiters.push(ParkedWaiter {
-                    id: *id,
-                    origin: *origin,
-                    key,
-                    snap: snap.clone(),
-                });
-            }
-        }
-        let ds = self.durable.as_ref().expect("durable checked above");
-        let mut cut = core_durable::build_cut(
-            self.pe,
-            self.pes,
-            ds.nonce,
-            ds.boundary,
-            &committed,
-            &self.ckpt,
-            waiters,
-            counts,
-            &RegistryCodec,
-        )
-        .map_err(|e| durable_err(self.pe, e))?;
+        let mut cut = rec
+            .cut(pe, ds.nonce, ds.boundary, section, &RegistryCodec)
+            .map_err(durable_err)?;
         cut.sent_to = ds.sent_to.clone();
         cut.recv_from = ds.recv_from.clone();
         cut.outbox = ds.outbox.clone();
-        let bytes =
-            core_durable::write_cut(&ds.dir, &cut).map_err(|e| durable_err(self.pe, e))?;
-        if let Some(met) = &self.metrics {
-            met.durable_flushes.inc();
-            met.durable_bytes.add(bytes);
-        }
-        self.flight.record(
-            ObsKind::CheckpointCut,
-            self.pe as u32,
-            self.run,
-            ds.boundary,
-            bytes,
-        );
+        let bytes = core_durable::write_cut(&ds.dir, &cut).map_err(durable_err)?;
+        hooks.durable_flush(ds.boundary, bytes);
         // The cut is committed; transmission can now happen (and fail)
         // safely — an unsent frame is recoverable from the outbox.
         for (dst, frame) in pending {
@@ -485,12 +507,10 @@ impl Daemon {
     /// A stop signal arrived: flush accounting and the durable cut,
     /// tell the driver this PE stopped *cleanly*, and exit with the
     /// graceful status.
-    fn graceful_stop(&mut self) -> ! {
+    fn graceful_stop(&mut self, hooks: &PeHooks) -> ! {
         let _ = self.flush_delta();
-        if self.durable.is_some() {
-            if let Err(e) = self.durable_commit() {
-                eprintln!("navp-pe: final durable flush failed: {e}");
-            }
+        if let Err(e) = self.durable_commit(hooks) {
+            eprintln!("navp-pe: final durable flush failed: {e}");
         }
         let _ = self.driver.send(&Frame::Fatal {
             err: RunError::PeStopped { pe: self.pe },
@@ -502,429 +522,85 @@ impl Daemon {
     }
 
     fn heartbeat(&self) {
-        let _ = self.driver.send(&Frame::Delta {
-            spawned: 0,
-            finished: 0,
-            steps: 0,
-            hops: 0,
-            hop_payload: 0,
-            wire_bytes: 0,
-        });
+        let _ = self.driver.send(&Delta::default().frame());
     }
 
     fn flush_delta(&mut self) -> Result<(), RunError> {
-        if self.d_spawned == 0
-            && self.d_finished == 0
-            && self.d_steps == 0
-            && self.d_hops == 0
-            && self.d_hop_payload == 0
-            && self.d_wire == 0
-        {
+        if self.d == Delta::default() {
             return Ok(());
         }
-        let frame = Frame::Delta {
-            spawned: self.d_spawned,
-            finished: self.d_finished,
-            steps: self.d_steps,
-            hops: self.d_hops,
-            hop_payload: self.d_hop_payload,
-            wire_bytes: self.d_wire,
-        };
-        self.d_spawned = 0;
-        self.d_finished = 0;
-        self.d_steps = 0;
-        self.d_hops = 0;
-        self.d_hop_payload = 0;
-        self.d_wire = 0;
         self.driver
-            .send(&frame)
-            .map_err(|e| RunError::Transport {
-                detail: format!("PE {} lost the driver: {e}", self.pe),
-            })
+            .send(&std::mem::take(&mut self.d).frame())
+            .map_err(|e| RunError::transport(format!("PE {} lost the driver: {e}", self.pe)))
             .map(|_| ())
     }
 
-    fn commit_run(&mut self) {
-        if self.recovery_active() {
-            self.journal.commit_dirty(&mut self.store);
-            if let Some(met) = &self.metrics {
-                met.journal_commits.inc();
-            }
-        }
-    }
-
     /// Accept a messenger at a delivery point: checkpoint + enqueue.
-    fn deliver(&mut self, id: u64, m: Box<dyn Messenger>) {
-        if self.recovery_active() {
-            self.ckpt.register(id, self.pe, m.as_ref());
-            if let Some(met) = &self.metrics {
-                met.checkpoints.inc();
-                met.checkpoint_bytes.add(m.payload_bytes());
-            }
+    fn deliver(&mut self, hooks: &PeHooks, id: u64, m: Box<dyn Messenger>) {
+        if let Some(r) = &mut self.rec {
+            r.deliver(id, self.pe, m.as_ref(), hooks);
         }
         self.queue.push_back((id, m));
-        if let Some(p) = self.metrics.as_ref().and_then(|met| met.pe(self.pe)) {
-            p.queue_depth.set(self.queue.len() as i64);
-        }
     }
 
-    /// A `Hop` frame arrived: run it through the fault machinery, then
-    /// deliver. Delay holds the frame; drop burns a retry (the re-sent
-    /// attempt is a fresh arrival, so the counters keep counting).
+    fn decode(&self, snap: &WireSnapshot, what: &str) -> Result<Box<dyn Messenger>, RunError> {
+        decode_messenger(snap)
+            .map_err(|e| RunError::transport(format!("PE {} cannot decode {what}: {e}", self.pe)))
+    }
+
+    /// A `Hop` frame arrived: run it through the core's hop policy,
+    /// then deliver. A delay holds the frame; a drop burns a retry
+    /// after the backoff (the re-sent attempt is a fresh arrival). A
+    /// heartbeat keeps the driver's watchdog fed through each hold.
     ///
     /// The Transfer span runs from the sender's `sent_ns` (sender
     /// clock; corrected at merge) to arrival — `recv_ns`, stamped by
     /// the I/O loop when the frame was decoded, so daemon queueing
-    /// doesn't inflate it. A fault-delay hold moves the end stamp past
-    /// the hold: the delay shows up as transfer time, which it is on
-    /// the wire's timeline.
+    /// doesn't inflate it. A fault hold moves the end stamp past the
+    /// hold: the delay shows up as transfer time, which it is on the
+    /// wire's timeline.
     fn accept_hop(
         &mut self,
+        hooks: &mut PeHooks,
         from: usize,
         id: u64,
         sent_ns: u64,
         recv_ns: u64,
         snap: WireSnapshot,
     ) -> Result<(), RunError> {
-        let mut attempts: u32 = 0;
-        let mut held = false;
-        loop {
-            let fault = self.tracker.as_mut().and_then(|t| t.on_hop(self.pe));
-            match fault {
-                None => break,
-                Some(HopFault::Delay { seconds }) => {
-                    self.stats.hops_delayed += 1;
-                    if let Some(met) = &self.metrics {
-                        met.faults.inc();
-                    }
-                    self.flight.record(
-                        ObsKind::FaultInjected,
-                        self.pe as u32,
-                        self.run,
-                        FAULT_SITE_DELAY,
-                        (seconds * 1e3) as u64,
-                    );
-                    held = true;
-                    self.heartbeat();
-                    std::thread::sleep(Duration::from_secs_f64(seconds.max(0.0)));
-                    break; // single-shot rule: delivered after the hold
-                }
-                Some(HopFault::Drop) => {
-                    self.stats.hops_dropped += 1;
-                    if let Some(met) = &self.metrics {
-                        met.faults.inc();
-                    }
-                    self.flight.record(
-                        ObsKind::FaultInjected,
-                        self.pe as u32,
-                        self.run,
-                        FAULT_SITE_DROP,
-                        attempts as u64 + 1,
-                    );
-                    held = true;
-                    attempts += 1;
-                    let plan = self.tracker.as_ref().expect("fault fired").plan();
-                    if attempts > plan.max_send_retries {
-                        return Err(RunError::RecoveryFailed {
-                            pe: self.pe,
-                            reason: format!(
-                                "delivery of messenger {id} dropped {attempts} times, \
-                                 retry budget exhausted"
-                            ),
-                        });
-                    }
-                    self.stats.send_retries += 1;
-                    let backoff = plan.retry_backoff;
-                    self.heartbeat();
-                    std::thread::sleep(backoff);
-                }
-            }
+        let waits = match &mut self.rec {
+            Some(r) => r.hop_faults(self.pe, hooks)?,
+            None => Vec::new(),
+        };
+        for wait in &waits {
+            self.heartbeat();
+            std::thread::sleep(Duration::from_secs_f64(wait.max(0.0)));
         }
-        let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
-            detail: format!("PE {} cannot decode hopped messenger {id}: {e}", self.pe),
-        })?;
-        self.flight.record(
-            ObsKind::HopRecv,
-            self.pe as u32,
-            self.run,
-            from as u64,
-            m.payload_bytes() + HOP_STATE_BYTES,
-        );
-        if self.recorder.is_enabled() {
-            let kind = TraceKind::Transfer {
-                from,
-                to: self.pe,
-                bytes: m.payload_bytes() + HOP_STATE_BYTES,
-            };
-            let end = if held || recv_ns == 0 {
-                self.recorder.now_ns()
-            } else {
-                recv_ns
-            };
-            self.recorder.record(sent_ns, end, id, &m.label(), kind);
-        }
-        self.deliver(id, m);
+        let m = self.decode(&snap, &format!("hopped messenger {id}"))?;
+        let bytes = m.payload_bytes() + HOP_STATE_BYTES;
+        hooks.flight(ObsKind::HopRecv, from as u64, bytes);
+        let end = if waits.is_empty() { recv_ns } else { 0 };
+        hooks.arrived(from, id, m.as_ref(), sent_ns, end);
+        self.deliver(hooks, id, m);
         Ok(())
     }
 
-    /// Crash check at a run boundary. `Ok(true)` means a crash fired
-    /// and the daemon restarted — the caller must drop the messenger it
-    /// was about to run (its checkpoint was just re-delivered).
-    fn survive_run_boundary(&mut self) -> Result<bool, RunError> {
-        let crashed = self
-            .tracker
-            .as_mut()
-            .and_then(|t| t.on_run(self.pe))
-            .is_some();
-        if !crashed {
-            return Ok(false);
-        }
-        if !self.crash_restarts {
-            // Crash = process exit: the abrupt death the driver must
-            // surface as PeerDisconnected within its watchdog. (Durable
-            // mode keeps the recovery machinery alive for its spills
-            // but does not change these semantics — the spilled cut is
-            // what a later restore resumes from.)
-            std::process::exit(CRASH_EXIT);
-        }
-        self.stats.crashes += 1;
-        if let Some(met) = &self.metrics {
-            met.faults.inc();
-        }
-        self.flight.record(
-            ObsKind::FaultInjected,
-            self.pe as u32,
-            self.run,
-            FAULT_SITE_CRASH,
-            self.stats.crashes,
-        );
-        self.recorder
-            .instant(u64::MAX, "crash", TraceKind::Fault { pe: self.pe });
-        let mut rebuilt = self
-            .initial_store
-            .as_ref()
-            .expect("recovery active")
-            .clone();
-        self.stats.replayed_writes += self.journal.replay_into(&mut rebuilt);
-        rebuilt.enable_tracking();
-        rebuilt.drain_dirty(); // the replay itself is not a new write
-        self.store = rebuilt;
-        self.queue.clear(); // lost with the daemon; rebuilt from checkpoints
-        for (id, label, snap) in self.ckpt.drain_pe(self.pe) {
-            let m = snap.ok_or_else(|| RunError::RecoveryFailed {
-                pe: self.pe,
-                reason: format!("no snapshot for messenger {label} (id {id})"),
-            })?;
-            self.stats.redelivered += 1;
-            self.deliver(id, m);
-        }
-        Ok(true)
-    }
-
-    fn local_signal(&mut self, key: EventKey) -> Result<(), RunError> {
-        let st = self.events.entry(key).or_default();
-        match st.waiters.pop_front() {
-            Some((id, origin, snap, parked_ns)) => {
-                if origin as usize == self.pe {
-                    let m = decode_messenger(&snap).map_err(|e| RunError::Transport {
-                        detail: format!("PE {} cannot decode parked waiter: {e}", self.pe),
-                    })?;
-                    if self.recorder.is_enabled() {
-                        let kind = TraceKind::Block { pe: self.pe };
-                        self.recorder
-                            .record(parked_ns, self.recorder.now_ns(), id, &m.label(), kind);
-                    }
-                    self.note_unpark(parked_ns);
-                    self.deliver(id, m);
-                } else {
-                    self.queue_send(
-                        origin as usize,
-                        Frame::Deliver {
-                            id,
-                            parked_ns,
-                            msgr: snap,
-                        },
-                    )?;
-                }
-            }
-            None => st.count += 1,
-        }
-        Ok(())
-    }
-
-    fn route_signal(&mut self, key: EventKey) -> Result<(), RunError> {
-        let home = event_home(&key, self.pes);
-        self.flight
-            .record(ObsKind::Signal, self.pe as u32, self.run, home as u64, 0);
-        if home == self.pe {
-            self.local_signal(key)
+    fn local_signal(&mut self, hooks: &mut PeHooks, key: EventKey) -> Result<(), RunError> {
+        let Some((id, origin, snap, parked_ns)) = self.events.signal(key) else {
+            return Ok(());
+        };
+        if origin as usize == self.pe {
+            let m = self.decode(&snap, "parked waiter")?;
+            hooks.woken(id, m.as_ref(), parked_ns);
+            self.deliver(hooks, id, m);
+            Ok(())
         } else {
-            self.queue_send(home, Frame::EventSignal { key })
-        }
-    }
-
-    /// Run one messenger to its next departure (hop away, park, done).
-    fn run_messenger(&mut self, id: u64, mut m: Box<dyn Messenger>) -> Result<(), RunError> {
-        if self.survive_run_boundary()? {
-            return Ok(()); // messenger re-queued from its checkpoint
-        }
-        // One Exec span per run: delivery to departure. Self-hops and
-        // banked-count waits continue the same span, as in the other
-        // executors.
-        let tracing = self.recorder.is_enabled();
-        let label = if tracing { m.label() } else { String::new() };
-        let exec_start = self.recorder.now_ns();
-        let met = self.metrics.clone();
-        let pm = met.as_ref().and_then(|met| met.pe(self.pe));
-        let mut out = StepOutputs::default();
-        loop {
-            out.clear();
-            let effect = {
-                let mut ctx = MsgrCtx::new(self.pe, self.pes, &mut self.store, &mut out);
-                m.step(&mut ctx)
+            let frame = Frame::Deliver {
+                id,
+                parked_ns,
+                msgr: snap,
             };
-            self.d_steps += 1;
-            if let Some(p) = pm {
-                p.steps.inc();
-            }
-            for inj in out.injections.drain(..) {
-                let new_id =
-                    self.initial_live + self.pe as u64 + self.pes as u64 * self.next_inject;
-                self.next_inject += 1;
-                self.d_spawned += 1;
-                self.t_spawned += 1;
-                if let Some(p) = pm {
-                    p.injections.inc();
-                }
-                self.deliver(new_id, inj);
-            }
-            let signals: Vec<EventKey> = out.signals.drain(..).collect();
-            for key in signals {
-                let lost = self
-                    .tracker
-                    .as_mut()
-                    .is_some_and(|t| t.on_signal(self.pe));
-                if lost {
-                    self.stats.signals_lost += 1;
-                    if let Some(met) = &met {
-                        met.faults.inc();
-                    }
-                    continue;
-                }
-                self.route_signal(key)?;
-                if let Some(p) = pm {
-                    p.signals.inc();
-                }
-                if tracing {
-                    self.recorder
-                        .instant(id, &label, TraceKind::Signal { pe: self.pe });
-                }
-            }
-            match effect {
-                Effect::Hop(dst) if dst == self.pe => continue,
-                Effect::Hop(dst) => {
-                    if dst >= self.pes {
-                        return Err(RunError::BadHop {
-                            agent: m.label(),
-                            dst,
-                            pes: self.pes,
-                        });
-                    }
-                    self.commit_run();
-                    let snap = encode_messenger(m.as_ref())?;
-                    self.d_hops += 1;
-                    self.d_hop_payload += m.payload_bytes();
-                    if let Some(met) = &met {
-                        let payload = m.payload_bytes();
-                        if let Some(p) = met.pe(self.pe) {
-                            p.hops.inc();
-                            p.hop_bytes.add(payload + HOP_STATE_BYTES);
-                        }
-                        met.hop_payload_bytes.observe(payload);
-                    }
-                    let sent_ns = self.recorder.now_ns();
-                    if tracing {
-                        let kind = TraceKind::Exec { pe: self.pe };
-                        self.recorder.record(exec_start, sent_ns, id, &label, kind);
-                    }
-                    self.flight.record(
-                        ObsKind::HopSend,
-                        self.pe as u32,
-                        self.run,
-                        dst as u64,
-                        m.payload_bytes() + HOP_STATE_BYTES,
-                    );
-                    self.queue_send(
-                        dst,
-                        Frame::Hop {
-                            id,
-                            sent_ns,
-                            msgr: snap,
-                        },
-                    )?;
-                    // In flight, the messenger belongs to the
-                    // destination's failure domain — which is another
-                    // process entirely.
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-                Effect::WaitEvent(key) => {
-                    let home = event_home(&key, self.pes);
-                    if home == self.pe {
-                        let st = self.events.entry(key).or_default();
-                        if st.count > 0 {
-                            st.count -= 1;
-                            continue; // banked count: same run continues
-                        }
-                        self.commit_run();
-                        let snap = encode_messenger(m.as_ref())?;
-                        let parked_ns = self.clock_ns();
-                        if tracing {
-                            let kind = TraceKind::Exec { pe: self.pe };
-                            self.recorder.record(exec_start, parked_ns, id, &label, kind);
-                        }
-                        let st = self.events.entry(key).or_default();
-                        st.waiters.push_back((id, self.pe as u32, snap, parked_ns));
-                    } else {
-                        self.commit_run();
-                        let snap = encode_messenger(m.as_ref())?;
-                        let parked_ns = self.clock_ns();
-                        if tracing {
-                            let kind = TraceKind::Exec { pe: self.pe };
-                            self.recorder.record(exec_start, parked_ns, id, &label, kind);
-                        }
-                        self.queue_send(
-                            home,
-                            Frame::EventWait {
-                                key,
-                                id,
-                                origin: self.pe as u32,
-                                parked_ns,
-                                msgr: snap,
-                            },
-                        )?;
-                    }
-                    // Parked state is held by the event table (local or
-                    // remote), outside this daemon's crash domain.
-                    if let Some(p) = pm {
-                        p.waits.inc();
-                    }
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-                Effect::Done => {
-                    self.commit_run();
-                    if tracing {
-                        let end = self.recorder.now_ns();
-                        let kind = TraceKind::Exec { pe: self.pe };
-                        self.recorder.record(exec_start, end, id, &label, kind);
-                    }
-                    self.d_finished += 1;
-                    self.t_finished += 1;
-                    self.ckpt.remove(id);
-                    return Ok(());
-                }
-            }
+            self.queue_send(origin as usize, frame)
         }
     }
 
@@ -937,25 +613,22 @@ impl Daemon {
         parked_ns: u64,
         snap: WireSnapshot,
     ) -> Result<(), RunError> {
-        let st = self.events.entry(key).or_default();
-        if st.count > 0 {
-            st.count -= 1;
-            self.queue_send(
-                origin as usize,
-                Frame::Deliver {
-                    id,
-                    parked_ns,
-                    msgr: snap,
-                },
-            )
+        if self.events.take(key) {
+            let frame = Frame::Deliver {
+                id,
+                parked_ns,
+                msgr: snap,
+            };
+            self.queue_send(origin as usize, frame)
         } else {
-            st.waiters.push_back((id, origin, snap, parked_ns));
+            self.events.park(key, (id, origin, snap, parked_ns));
             Ok(())
         }
     }
 
     fn handle_peer_frame(
         &mut self,
+        hooks: &mut PeHooks,
         from: usize,
         frame: Frame,
         recv_ns: u64,
@@ -969,7 +642,9 @@ impl Daemon {
             ds.recv_from[from] += 1;
         }
         match frame {
-            Frame::Hop { id, sent_ns, msgr } => self.accept_hop(from, id, sent_ns, recv_ns, msgr),
+            Frame::Hop { id, sent_ns, msgr } => {
+                self.accept_hop(hooks, from, id, sent_ns, recv_ns, msgr)
+            }
             Frame::EventWait {
                 key,
                 id,
@@ -977,143 +652,127 @@ impl Daemon {
                 parked_ns,
                 msgr,
             } => self.accept_wait(key, id, origin, parked_ns, msgr),
-            Frame::EventSignal { key } => self.local_signal(key),
+            Frame::EventSignal { key } => self.local_signal(hooks, key),
             Frame::Deliver {
                 id,
                 parked_ns,
                 msgr,
             } => {
-                let m = decode_messenger(&msgr).map_err(|e| RunError::Transport {
-                    detail: format!("PE {} cannot decode delivered waiter: {e}", self.pe),
-                })?;
                 // The park timestamp is on *this* PE's clock — the
                 // waiter parked here and the home echoed it back.
-                if self.recorder.is_enabled() {
-                    let kind = TraceKind::Block { pe: self.pe };
-                    self.recorder
-                        .record(parked_ns, self.recorder.now_ns(), id, &m.label(), kind);
-                }
-                self.note_unpark(parked_ns);
-                self.deliver(id, m);
+                let m = self.decode(&msgr, "delivered waiter")?;
+                hooks.woken(id, m.as_ref(), parked_ns);
+                self.deliver(hooks, id, m);
                 Ok(())
             }
-            other => Err(RunError::Transport {
-                detail: format!(
-                    "PE {} got unexpected frame {other:?} from peer {from}",
-                    self.pe
-                ),
-            }),
+            other => Err(RunError::transport(format!(
+                "PE {} got unexpected frame {other:?} from peer {from}",
+                self.pe
+            ))),
         }
     }
 
-    /// The post-`Start` event loop: drain runnables, then block on the
-    /// next frame. Returns when the driver says `Shutdown`.
-    fn event_loop(&mut self, rx: &Receiver<PeEvent>) -> Result<(), RunError> {
-        loop {
-            if stop_requested() {
-                self.graceful_stop();
-            }
-            while let Some((id, m)) = self.queue.pop_front() {
-                self.run_messenger(id, m)?;
-                // A run is an atomic unit: commit it (and its frames)
-                // durably before the next one begins.
-                self.durable_commit()?;
-                if stop_requested() {
-                    self.graceful_stop();
+    /// Answer a driver frame; `Ok(true)` means the session is over.
+    fn handle_driver_frame(&mut self, hooks: &mut PeHooks, frame: Frame) -> Result<bool, RunError> {
+        let pe = self.pe;
+        let reply = match frame {
+            // The queue is empty here (drained by the event loop), so
+            // the lifetime counters are a consistent local snapshot.
+            Frame::Probe { round } => Frame::ProbeAck {
+                round,
+                spawned: self.t_spawned,
+                finished: self.t_finished,
+                peer_sent: self.t_peer_sent,
+                peer_recv: self.t_peer_recv,
+            },
+            Frame::Collect => Frame::StoreDump {
+                store: encode_store(&self.store)?,
+                stats: self.rec.as_ref().map(|r| r.stats).unwrap_or_default(),
+            },
+            Frame::TraceCollect => {
+                let pe_ns = hooks.recorder.now_ns();
+                let (events, dropped) = hooks.recorder.take();
+                if let Some(met) = &self.metrics {
+                    met.trace_dropped.add(dropped);
+                }
+                Frame::TraceDump {
+                    pe_ns,
+                    dropped,
+                    events,
                 }
             }
-            if let Some(p) = self.metrics.as_ref().and_then(|met| met.pe(self.pe)) {
-                p.queue_depth.set(self.queue.len() as i64);
+            Frame::MetricsCollect => Frame::MetricsDump {
+                samples: self
+                    .metrics
+                    .as_ref()
+                    .map(|met| met.snapshot().samples)
+                    .unwrap_or_default(),
+            },
+            Frame::Shutdown => return Ok(true),
+            other => {
+                return Err(RunError::transport(format!(
+                    "PE {pe} got unexpected driver frame {other:?}"
+                )))
             }
+        };
+        self.flush_delta()?;
+        self.driver
+            .send(&reply)
+            .map_err(|e| RunError::transport(format!("PE {pe} cannot answer the driver: {e}")))?;
+        Ok(false)
+    }
+
+    /// The post-`Start` event loop: drain runnables through the core,
+    /// then block on the next frame. Returns when the driver says
+    /// `Shutdown`.
+    fn event_loop(&mut self, core: &mut PeCore, rx: &Receiver<PeEvent>) -> Result<(), RunError> {
+        loop {
+            if stop_requested() {
+                self.graceful_stop(&core.hooks);
+            }
+            while let Some((id, m)) = self.queue.pop_front() {
+                match core.run(self, id, m) {
+                    // Crash = process exit when the plan does not
+                    // checkpoint: the abrupt death the driver must
+                    // surface as PeerDisconnected within its watchdog.
+                    Err(RunError::PeCrashed { .. }) => std::process::exit(CRASH_EXIT),
+                    other => other?,
+                }
+                // A run is an atomic unit: commit it (and its frames)
+                // durably before the next one begins.
+                self.durable_commit(&core.hooks)?;
+                if stop_requested() {
+                    self.graceful_stop(&core.hooks);
+                }
+            }
+            core.hooks.queue_depth(self.queue.len());
             if let Some(h) = &self.health {
                 h.queue_depth
                     .store(self.queue.len() as u64, Ordering::Relaxed);
             }
             self.flush_delta()?;
-            let got_event = {
-                let r = rx.recv_timeout(Duration::from_millis(100));
-                if let (Ok(_), Some(h)) = (&r, &self.health) {
-                    h.touch();
-                }
-                r
-            };
+            let got_event = rx.recv_timeout(Duration::from_millis(100));
+            if let (Ok(_), Some(h)) = (&got_event, &self.health) {
+                h.touch();
+            }
             match got_event {
-                Ok(PeEvent::Driver(Ok(Frame::Probe { round }))) => {
-                    // The queue is empty here (drained above), so the
-                    // lifetime counters are a consistent local snapshot.
-                    self.flush_delta()?;
-                    self.driver
-                        .send(&Frame::ProbeAck {
-                            round,
-                            spawned: self.t_spawned,
-                            finished: self.t_finished,
-                            peer_sent: self.t_peer_sent,
-                            peer_recv: self.t_peer_recv,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot ack probe: {e}", self.pe),
-                        })?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::Collect))) => {
-                    self.flush_delta()?;
-                    let store = encode_store(&self.store)?;
-                    self.driver
-                        .send(&Frame::StoreDump {
-                            store,
-                            stats: self.stats,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its store: {e}", self.pe),
-                        })?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::TraceCollect))) => {
-                    self.flush_delta()?;
-                    let pe_ns = self.recorder.now_ns();
-                    let (events, dropped) = self.recorder.take();
-                    if let Some(met) = &self.metrics {
-                        met.trace_dropped.add(dropped);
+                Ok(PeEvent::Driver(Ok(frame))) => {
+                    if self.handle_driver_frame(&mut core.hooks, frame)? {
+                        return Ok(());
                     }
-                    self.driver
-                        .send(&Frame::TraceDump {
-                            pe_ns,
-                            dropped,
-                            events,
-                        })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its trace: {e}", self.pe),
-                        })?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::MetricsCollect))) => {
-                    self.flush_delta()?;
-                    let samples = self
-                        .metrics
-                        .as_ref()
-                        .map(|met| met.snapshot().samples)
-                        .unwrap_or_default();
-                    self.driver
-                        .send(&Frame::MetricsDump { samples })
-                        .map_err(|e| RunError::Transport {
-                            detail: format!("PE {} cannot return its metrics: {e}", self.pe),
-                        })?;
-                }
-                Ok(PeEvent::Driver(Ok(Frame::Shutdown))) => return Ok(()),
-                Ok(PeEvent::Driver(Ok(other))) => {
-                    return Err(RunError::Transport {
-                        detail: format!("PE {} got unexpected driver frame {other:?}", self.pe),
-                    })
                 }
                 // Driver gone: the run is over one way or the other;
                 // exit quietly rather than lingering.
                 Ok(PeEvent::Driver(Err(_))) => return Ok(()),
                 Ok(PeEvent::Peer(q, Ok(frame), recv_ns)) => {
-                    self.handle_peer_frame(q, frame, recv_ns)?;
+                    self.handle_peer_frame(&mut core.hooks, q, frame, recv_ns)?;
                     // Frame handling that produced sends (a Deliver for
                     // a woken waiter) is its own atomic unit. Handling
                     // that only mutated local state needs no spill: the
                     // in-memory advance rides in the next cut, and until
                     // then the sender's outbox replays the frame.
                     if self.durable.as_ref().is_some_and(|d| !d.pending.is_empty()) {
-                        self.durable_commit()?;
+                        self.durable_commit(&core.hooks)?;
                     }
                 }
                 // A dead peer only matters if we later need to send to
@@ -1133,9 +792,9 @@ fn connect_with_retries(addr: &str, deadline: Instant) -> Result<TcpStream, RunE
             Ok(s) => return Ok(s),
             Err(e) => {
                 if Instant::now() >= deadline {
-                    return Err(RunError::Transport {
-                        detail: format!("connect to {addr} failed: {e}"),
-                    });
+                    return Err(RunError::transport(format!(
+                        "connect to {addr} failed: {e}"
+                    )));
                 }
                 std::thread::sleep(Duration::from_millis(10));
             }
@@ -1156,58 +815,42 @@ fn accept_peers(
 ) -> Result<Vec<(usize, TcpStream)>, RunError> {
     listener
         .set_nonblocking(true)
-        .map_err(|e| RunError::Transport {
-            detail: format!("listener nonblocking: {e}"),
-        })?;
+        .map_err(|e| RunError::transport(format!("listener nonblocking: {e}")))?;
     let mut got = Vec::new();
     while got.len() < need {
         match listener.accept() {
             Ok((stream, _)) => {
                 stream
                     .set_nonblocking(false)
-                    .map_err(|e| RunError::Transport {
-                        detail: format!("peer stream blocking: {e}"),
-                    })?;
+                    .map_err(|e| RunError::transport(format!("peer stream blocking: {e}")))?;
                 let mut stream = stream;
                 match read_frame(&mut stream) {
                     Ok(Frame::PeerHello { pe, run: r }) if r == run => {
                         got.push((pe as usize, stream))
                     }
                     Ok(Frame::PeerHello { pe, run: r }) => {
-                        return Err(RunError::Transport {
-                            detail: format!(
-                                "PeerHello from PE {pe} of run {r}, this session is run {run}"
-                            ),
-                        })
+                        return Err(RunError::transport(format!(
+                            "PeerHello from PE {pe} of run {r}, this session is run {run}"
+                        )))
                     }
                     Ok(other) => {
-                        return Err(RunError::Transport {
-                            detail: format!("expected PeerHello, got {other:?}"),
-                        })
+                        return Err(RunError::transport(format!(
+                            "expected PeerHello, got {other:?}"
+                        )))
                     }
-                    Err(e) => {
-                        return Err(RunError::Transport {
-                            detail: format!("peer handshake read: {e}"),
-                        })
-                    }
+                    Err(e) => return Err(RunError::transport(format!("peer handshake read: {e}"))),
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 if Instant::now() >= deadline {
-                    return Err(RunError::Transport {
-                        detail: format!(
-                            "timed out waiting for {} peer connection(s)",
-                            need - got.len()
-                        ),
-                    });
+                    return Err(RunError::transport(format!(
+                        "timed out waiting for {} peer connection(s)",
+                        need - got.len()
+                    )));
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
-            Err(e) => {
-                return Err(RunError::Transport {
-                    detail: format!("peer accept: {e}"),
-                })
-            }
+            Err(e) => return Err(RunError::transport(format!("peer accept: {e}"))),
         }
     }
     Ok(got)
@@ -1248,9 +891,7 @@ impl Obs {
                         as navp_metrics::RouteFn,
                 )],
             )
-            .map_err(|e| RunError::Transport {
-                detail: format!("metrics bind {addr}: {e}"),
-            })?;
+            .map_err(|e| RunError::transport(format!("metrics bind {addr}: {e}")))?;
         }
         Ok(obs)
     }
@@ -1282,13 +923,12 @@ pub fn pe_main(mode: PeMode, opts: PeOptions) -> Result<(), RunError> {
             driver_session(&opts, &obs, stream, deadline)
         }
         PeMode::Listen(bind) => {
-            let listener = TcpListener::bind(bind).map_err(|e| RunError::Transport {
-                detail: format!("bind {bind}: {e}"),
-            })?;
+            let listener = TcpListener::bind(bind)
+                .map_err(|e| RunError::transport(format!("bind {bind}: {e}")))?;
             loop {
-                let (stream, _) = listener.accept().map_err(|e| RunError::Transport {
-                    detail: format!("accept driver on {bind}: {e}"),
-                })?;
+                let (stream, _) = listener
+                    .accept()
+                    .map_err(|e| RunError::transport(format!("accept driver on {bind}: {e}")))?;
                 let opts = opts.clone();
                 let obs = Arc::clone(&obs);
                 std::thread::spawn(move || {
@@ -1376,11 +1016,11 @@ fn driver_session(
     mut driver_stream: TcpStream,
     deadline: Instant,
 ) -> Result<(), RunError> {
-    let handshake_conn = FrameConn::new(driver_stream.try_clone().map_err(|e| {
-        RunError::Transport {
-            detail: format!("clone driver stream: {e}"),
-        }
-    })?);
+    let handshake_conn = FrameConn::new(
+        driver_stream
+            .try_clone()
+            .map_err(|e| RunError::transport(format!("clone driver stream: {e}")))?,
+    );
     let setup = match pe_handshake(opts, obs, &mut driver_stream, &handshake_conn, deadline) {
         Ok(setup) => setup,
         Err(err) => {
@@ -1399,12 +1039,8 @@ struct SessionSetup<'a> {
     pes: usize,
     run: u64,
     peer_streams: Vec<Option<TcpStream>>,
-    store_img: Vec<StoreEntry>,
-    injections: Vec<(u64, WireSnapshot)>,
-    events: Vec<EventKey>,
-    plan: Option<FaultPlan>,
-    initial_live: u64,
-    trace: bool,
+    /// The driver's `Start` frame.
+    start: Frame,
     metered: bool,
     run_metrics: Option<Arc<RunMetrics>>,
     _run_guard: RunGuard<'a>,
@@ -1417,13 +1053,15 @@ fn pe_handshake<'a>(
     driver: &FrameConn,
     deadline: Instant,
 ) -> Result<SessionSetup<'a>, RunError> {
-    let transport = |detail: String| RunError::Transport { detail };
-
     // 1. Identity.
     let (pe, pes, run) = match read_frame(driver_stream) {
         Ok(Frame::Assign { pe, pes, run }) => (pe as usize, pes as usize, run),
-        Ok(other) => return Err(transport(format!("expected Assign, got {other:?}"))),
-        Err(e) => return Err(transport(format!("handshake read: {e}"))),
+        Ok(other) => {
+            return Err(RunError::transport(format!(
+                "expected Assign, got {other:?}"
+            )))
+        }
+        Err(e) => return Err(RunError::transport(format!("handshake read: {e}"))),
     };
     // Mark the run in flight for the duration of this session (RAII so
     // every exit path — error, panic, clean return — un-marks it);
@@ -1439,13 +1077,13 @@ fn pe_handshake<'a>(
     //    (loopback for local clusters, the NIC's address for --join).
     let local_ip = driver_stream
         .local_addr()
-        .map_err(|e| transport(format!("local addr: {e}")))?
+        .map_err(|e| RunError::transport(format!("local addr: {e}")))?
         .ip();
-    let listener =
-        TcpListener::bind((local_ip, 0)).map_err(|e| transport(format!("peer bind: {e}")))?;
+    let listener = TcpListener::bind((local_ip, 0))
+        .map_err(|e| RunError::transport(format!("peer bind: {e}")))?;
     let listen = listener
         .local_addr()
-        .map_err(|e| transport(format!("peer addr: {e}")))?
+        .map_err(|e| RunError::transport(format!("peer addr: {e}")))?
         .to_string();
     driver
         .send(&Frame::Hello {
@@ -1453,16 +1091,20 @@ fn pe_handshake<'a>(
             pid: std::process::id(),
             listen,
         })
-        .map_err(|e| transport(format!("send Hello: {e}")))?;
+        .map_err(|e| RunError::transport(format!("send Hello: {e}")))?;
 
     // 3. Full mesh: connect to lower ids, accept from higher ids.
     let peer_addrs = match read_frame(driver_stream) {
         Ok(Frame::Bootstrap { peers }) => peers,
-        Ok(other) => return Err(transport(format!("expected Bootstrap, got {other:?}"))),
-        Err(e) => return Err(transport(format!("bootstrap read: {e}"))),
+        Ok(other) => {
+            return Err(RunError::transport(format!(
+                "expected Bootstrap, got {other:?}"
+            )))
+        }
+        Err(e) => return Err(RunError::transport(format!("bootstrap read: {e}"))),
     };
     if peer_addrs.len() != pes {
-        return Err(transport(format!(
+        return Err(RunError::transport(format!(
             "bootstrap names {} PEs, expected {pes}",
             peer_addrs.len()
         )));
@@ -1474,19 +1116,21 @@ fn pe_handshake<'a>(
     let mut peer_streams: Vec<Option<TcpStream>> = (0..pes).map(|_| None).collect();
     for (q, addr) in peer_addrs.iter().enumerate().take(pe) {
         let stream = connect_with_retries(addr, deadline)?;
-        FrameConn::new(stream.try_clone().map_err(|e| {
-            transport(format!("clone peer stream: {e}"))
-        })?)
+        FrameConn::new(
+            stream
+                .try_clone()
+                .map_err(|e| RunError::transport(format!("clone peer stream: {e}")))?,
+        )
         .send(&Frame::PeerHello { pe: pe as u32, run })
-        .map_err(|e| transport(format!("send PeerHello to {q}: {e}")))?;
+        .map_err(|e| RunError::transport(format!("send PeerHello to {q}: {e}")))?;
         peer_streams[q] = Some(stream);
     }
     for (q, stream) in acceptor
         .join()
-        .map_err(|_| transport("peer acceptor panicked".into()))??
+        .map_err(|_| RunError::transport("peer acceptor panicked"))??
     {
         if q >= pes || peer_streams[q].is_some() || q == pe {
-            return Err(transport(format!("bogus PeerHello from {q}")));
+            return Err(RunError::transport(format!("bogus PeerHello from {q}")));
         }
         peer_streams[q] = Some(stream);
     }
@@ -1496,24 +1140,20 @@ fn pe_handshake<'a>(
     );
     driver
         .send(&Frame::MeshReady { pe: pe as u32 })
-        .map_err(|e| transport(format!("send MeshReady: {e}")))?;
+        .map_err(|e| RunError::transport(format!("send MeshReady: {e}")))?;
 
     // 4. Start payload.
-    let (store_img, injections, events, plan, initial_live, trace, metrics) =
-        match read_frame(driver_stream) {
-            Ok(Frame::Start {
-                store,
-                injections,
-                events,
-                plan,
-                initial_live,
-                trace,
-                metrics,
-            }) => (store, injections, events, plan, initial_live, trace, metrics),
-            Ok(other) => return Err(transport(format!("expected Start, got {other:?}"))),
-            Err(e) => return Err(transport(format!("start read: {e}"))),
-        };
-    let metered = metrics || opts.metrics_addr.is_some();
+    let start = match read_frame(driver_stream) {
+        Ok(start @ Frame::Start { .. }) => start,
+        Ok(other) => {
+            return Err(RunError::transport(format!(
+                "expected Start, got {other:?}"
+            )))
+        }
+        Err(e) => return Err(RunError::transport(format!("start read: {e}"))),
+    };
+    let metered =
+        matches!(start, Frame::Start { metrics: true, .. }) || opts.metrics_addr.is_some();
     let run_metrics = metered.then(|| {
         // Adopt the decode counter before RunMetrics registers the
         // name: the event loop counts into it from registration on
@@ -1532,12 +1172,7 @@ fn pe_handshake<'a>(
         pes,
         run,
         peer_streams,
-        store_img,
-        injections,
-        events,
-        plan,
-        initial_live,
-        trace,
+        start,
         metered,
         run_metrics,
         _run_guard: run_guard,
@@ -1554,22 +1189,28 @@ fn pe_run(
     driver_stream: TcpStream,
     setup: SessionSetup<'_>,
 ) -> Result<(), RunError> {
-    let transport = |detail: String| RunError::Transport { detail };
     let SessionSetup {
         pe,
         pes,
         run,
         peer_streams,
-        store_img,
+        start,
+        metered,
+        run_metrics,
+        _run_guard,
+    } = setup;
+    let Frame::Start {
+        store: store_img,
         injections,
         events,
         plan,
         initial_live,
         trace,
-        metered,
-        run_metrics,
-        _run_guard,
-    } = setup;
+        ..
+    } = start
+    else {
+        unreachable!("the handshake hands over a Start frame")
+    };
     let reader_bytes = metered.then(|| Arc::clone(&obs.decode_bytes));
     let ioloop = IoLoop::global();
     if metered {
@@ -1591,7 +1232,7 @@ fn pe_run(
                 Box::new(move |r| tx.send(PeEvent::Driver(r)).is_ok()),
                 reader_bytes.clone(),
             )
-            .map_err(|e| transport(format!("register driver stream: {e}")))?
+            .map_err(|e| RunError::transport(format!("register driver stream: {e}")))?
     };
     let mut peers: Vec<Option<IoHandle>> = (0..pes).map(|_| None).collect();
     for (q, stream) in peer_streams.into_iter().enumerate() {
@@ -1610,25 +1251,25 @@ fn pe_run(
                 }),
                 reader_bytes.clone(),
             )
-            .map_err(|e| transport(format!("register peer {q} stream: {e}")))?;
+            .map_err(|e| RunError::transport(format!("register peer {q} stream: {e}")))?;
         peers[q] = Some(handle);
     }
 
     let mut store = decode_store(&store_img)
-        .map_err(|e| transport(format!("PE {pe} cannot decode its store: {e}")))?;
+        .map_err(|e| RunError::transport(format!("PE {pe} cannot decode its store: {e}")))?;
     // Recovery machinery (journal + checkpoint table) runs for a
     // checkpointing fault plan *or* durable mode — the durable cut is
     // that machinery serialized. Crash-restart semantics follow the
     // plan alone.
-    let crash_restarts = plan.as_ref().is_some_and(|p| p.checkpointing);
-    let recovery = crash_restarts || opts.durable_dir.is_some();
-    let initial_store = recovery.then(|| {
-        store.enable_tracking();
-        // Copy-on-write store: the pristine image is a reference bump
-        // per entry, not a deep copy of every resident block.
-        store.clone()
-    });
-    let tracker = plan.map(|p| FaultTracker::new(p, pes));
+    let durable_on = opts.durable_dir.is_some();
+    let mut rec = match plan {
+        Some(p) => Some(Recovery::new(p, pes, durable_on)),
+        None if durable_on => Some(Recovery::new(FaultPlan::new(), pes, true)),
+        None => None,
+    };
+    if let Some(r) = &mut rec {
+        r.adopt_store(pe, &mut store);
+    }
     let durable = match &opts.durable_dir {
         Some(base) => {
             register_durable();
@@ -1638,9 +1279,9 @@ fn pe_run(
             // whose manifest the driver wrote before connecting.
             let dir = core_durable::run_dir(base, run);
             let m = core_durable::read_manifest(&dir)
-                .map_err(|e| transport(format!("PE {pe} durable manifest: {e}")))?;
+                .map_err(|e| RunError::transport(format!("PE {pe} durable manifest: {e}")))?;
             if m.pes != pes {
-                return Err(transport(format!(
+                return Err(RunError::transport(format!(
                     "PE {pe}: durable manifest declares {} PEs, cluster has {pes}",
                     m.pes
                 )));
@@ -1658,84 +1299,69 @@ fn pe_run(
         None => None,
     };
 
+    // This PE's hooks: its always-on flight-recorder lane (`pe<k>`),
+    // looked up once per session, and the span recorder, which shares
+    // the session anchor with the I/O callbacks so loop-stamped arrival
+    // times and daemon-stamped span times live on one clock.
+    let mut core = PeCore::new(
+        pe,
+        pes,
+        PeHooks::new(
+            pe,
+            run,
+            run_metrics.clone(),
+            flight().lane(&format!("pe{pe}")),
+            PeRecorder::with_anchor(anchor, trace, DEFAULT_CAPACITY),
+            anchor,
+        ),
+    );
     let mut daemon = Daemon {
         pe,
         pes,
-        run,
-        flight: flight().lane(&format!("pe{pe}")),
         store,
-        initial_store,
-        crash_restarts,
+        rec,
         durable,
-        journal: WriteJournal::new(),
-        ckpt: CheckpointTable::new(),
-        events: HashMap::new(),
+        events: EventTable::default(),
         queue: VecDeque::new(),
-        tracker,
-        stats: FaultStats::default(),
         next_inject: 0,
         initial_live,
         peers,
         driver,
-        // The recorder shares the session anchor with the I/O
-        // callbacks, so loop-stamped arrival times and daemon-stamped
-        // span times live on one clock.
-        recorder: PeRecorder::with_anchor(anchor, trace, DEFAULT_CAPACITY),
         metrics: run_metrics,
-        anchor,
         health: opts.metrics_addr.is_some().then(|| Arc::clone(&obs.health)),
-        d_spawned: 0,
-        d_finished: 0,
-        d_steps: 0,
-        d_hops: 0,
-        d_hop_payload: 0,
-        d_wire: 0,
+        d: Delta::default(),
         t_spawned: 0,
         t_finished: 0,
         t_peer_sent: 0,
         t_peer_recv: 0,
     };
     for key in events {
-        daemon.events.entry(key).or_default().count += 1;
+        daemon.events.bank(key);
     }
     for (id, snap) in injections {
-        let m = decode_messenger(&snap)
-            .map_err(|e| transport(format!("PE {pe} cannot decode injection {id}: {e}")))?;
-        if let Some(p) = daemon.metrics.as_ref().and_then(|met| met.pe(pe)) {
-            p.injections.inc();
-        }
-        daemon.deliver(id, m);
+        let m = daemon.decode(&snap, &format!("injection {id}"))?;
+        core.hooks.inject();
+        daemon.deliver(&core.hooks, id, m);
     }
     // Boundary 0: spill the delivered-but-unrun state, so even a kill
     // before the first run restores cleanly.
-    daemon.durable_commit()?;
-    daemon
-        .flight
-        .record(ObsKind::RunStart, pe as u32, run, pes as u64, 0);
+    daemon.durable_commit(&core.hooks)?;
+    core.hooks.flight(ObsKind::RunStart, pes as u64, 0);
 
     // 6. Run. A panic inside a messenger becomes a structured
     //    WorkerPanic at the driver, not a silent EOF.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        daemon.event_loop(&rx)
+        daemon.event_loop(&mut core, &rx)
     }));
     let result = match outcome {
         Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            Err(RunError::WorkerPanic(format!("PE {pe}: {msg}")))
-        }
+        Err(payload) => Err(RunError::WorkerPanic(format!(
+            "PE {pe}: {}",
+            navp::error::panic_text(&*payload)
+        ))),
     };
-    daemon.flight.record(
-        ObsKind::RunEnd,
-        pe as u32,
-        run,
-        result.is_err() as u64,
-        0,
-    );
+    core.hooks
+        .flight(ObsKind::RunEnd, result.is_err() as u64, 0);
     if let Err(err) = &result {
         let _ = daemon.driver.send(&Frame::Fatal { err: err.clone() });
         // Leave the black box next to the durable state (or wherever

@@ -662,7 +662,8 @@ mod tests {
 
     #[test]
     fn finish_hook_sees_live_set_without_finished_job() {
-        let seen: Arc<StdMutex<Vec<(u64, HashSet<u64>)>>> = Arc::new(StdMutex::new(Vec::new()));
+        type Seen = Arc<StdMutex<Vec<(u64, HashSet<u64>)>>>;
+        let seen: Seen = Arc::new(StdMutex::new(Vec::new()));
         let hook_seen = Arc::clone(&seen);
         let gate = Arc::new(AtomicBool::new(false));
         let log = Arc::new(StdMutex::new(Vec::new()));

@@ -4,12 +4,12 @@
 //! re-delivers checkpointed messengers and replays journaled writes,
 //! it never re-executes committed work.
 
-use navp_repro::navp::{FaultPlan, RunError};
+use navp_repro::navp::{FaultPlan, FaultStats, RunError};
 use navp_repro::navp_matrix::Grid2D;
 use navp_repro::navp_mm::config::MmConfig;
 use navp_repro::navp_mm::runner::{
-    run_navp_sim, run_navp_sim_faulted, run_navp_threads, run_navp_threads_faulted, NavpStage,
-    RunnerError,
+    run_navp_net_faulted, run_navp_sim, run_navp_sim_faulted, run_navp_threads,
+    run_navp_threads_faulted, NavpStage, NetOpts, RunnerError,
 };
 use navp_repro::navp_sim::CostModel;
 use std::time::Duration;
@@ -138,4 +138,57 @@ fn recovery_makespan_accounts_for_the_outage() {
         clean.virt_seconds
     );
     assert_eq!(faulted.verified, Some(true));
+}
+
+#[test]
+fn fault_counters_agree_across_sim_threads_and_net() {
+    // One crash, one dropped and one delayed hop delivery, with
+    // checkpointing: the three executors share one fault policy, so
+    // every counter that does not depend on timing agrees, and so does
+    // the product, bitwise. (`redelivered` depends on how many
+    // messengers are queued on the crashed PE at that instant, which on
+    // the wall-clock executors is timing.)
+    let cfg = MmConfig::real(16, 2).with_watchdog(Duration::from_secs(60));
+    let grid = Grid2D::line(4).expect("line");
+    let plan = FaultPlan::new()
+        .crash_pe(1, 2)
+        .drop_hop(2, 1)
+        .delay_hop(3, 1, 0.01)
+        .with_retry(3, Duration::from_millis(1));
+    let cost = CostModel::paper_cluster();
+    let sim = run_navp_sim_faulted(NavpStage::Dsc1D, &cfg, grid, &cost, plan.clone())
+        .expect("faulted sim");
+    let threads = run_navp_threads_faulted(NavpStage::Dsc1D, &cfg, grid, plan.clone())
+        .expect("faulted threads");
+    let opts = NetOpts {
+        pe_bin: Some(env!("CARGO_BIN_EXE_navp-pe").into()),
+        ..NetOpts::default()
+    };
+    let net = run_navp_net_faulted(NavpStage::Dsc1D, &cfg, grid, &opts, plan).expect("faulted net");
+
+    let counters = |f: Option<FaultStats>| {
+        f.map(|f| (f.crashes, f.hops_dropped, f.send_retries, f.hops_delayed))
+    };
+    let want = counters(sim.faults);
+    assert_eq!(
+        want,
+        Some((1, 1, 1, 1)),
+        "every rule fires once on the simulator"
+    );
+    assert_eq!(
+        counters(threads.faults),
+        want,
+        "thread executor fault counters"
+    );
+    assert_eq!(counters(net.faults), want, "net executor fault counters");
+    for (name, out) in [("sim", &sim), ("threads", &threads), ("net", &net)] {
+        assert_eq!(out.verified, Some(true), "{name}: product wrong");
+    }
+    let c = sim.c.as_ref().expect("real payload");
+    assert_eq!(
+        threads.c.as_ref(),
+        Some(c),
+        "threads product not bitwise the sim's"
+    );
+    assert_eq!(net.c.as_ref(), Some(c), "net product not bitwise the sim's");
 }
